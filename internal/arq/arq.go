@@ -48,6 +48,14 @@ type Wire interface {
 // layer. seq is the link-layer sequence number the delivering frame carried
 // (diagnostic; LAMS-DLC renumbers retransmissions, so one datagram can
 // arrive under different seqs in duplicate cases).
+//
+// A delivered Payload is immutable: it aliases the bytes the far end
+// enqueued, which that end's retransmission buffer may still hold. The
+// callee may retain it and enqueue it again on another Pair, but must not
+// write it. internal/node relies on this to forward without copying. A wire
+// whose decoder reuses its buffers (frame.Frame.DecodeFrom into one Frame)
+// breaks the guarantee and must not feed a node; the live driver decodes
+// every frame into fresh buffers with frame.Decode.
 type DeliverFunc func(now sim.Time, dg Datagram, seq uint32)
 
 // FailureFunc is called once if the protocol declares the link failed.

@@ -34,7 +34,10 @@ type Endpoint interface {
 // caller re-routes or carries them over. Reclaim does not mutate delivery
 // state, but a reclaimed datagram may still arrive at the receiver (its
 // last transmission may be in flight), so exactly-once is the resequencer's
-// job, not the engine's.
+// job, not the engine's. Payload bytes are never written after Enqueue:
+// the engine transmits, retransmits, delivers and reclaims the caller's
+// slice itself, so a delivered Payload may be retained and re-enqueued on
+// the next hop as is (see DeliverFunc).
 type Pair interface {
 	// Start activates both ends.
 	Start()

@@ -397,6 +397,9 @@ func E7BurstResilience() *Result {
 		cl.CModel = mk()
 		ch := cl
 		ch.Protocol = SRHDLC
+		// Each run gets its own instances: a BurstTrain caches frame-error
+		// probabilities, and the two runs execute on different workers.
+		ch.IModel, ch.CModel = mk(), mk()
 		cfgs = append(cfgs, cl, ch)
 	}
 	results := RunMany(cfgs)

@@ -17,6 +17,7 @@ package channel
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -324,9 +325,27 @@ func (s *TraceSet) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadTraceSet parses a serialized set.
+// Smallest encodings, used to reject counts the input cannot hold: a
+// stream header is a name-length uvarint, the mode byte and a record-count
+// uvarint; a record is three uvarints and the flags byte.
+const (
+	minTraceStreamBytes = 3
+	minTraceRecBytes    = 4
+)
+
+// maxTracePrealloc caps the records reserved up front for one stream;
+// longer streams grow as their records decode.
+const maxTracePrealloc = 4096
+
+// ReadTraceSet parses a serialized set. Counts and lengths in the input are
+// untrusted: one that claims more than the remaining bytes can encode is
+// rejected before anything is allocated for it.
 func ReadTraceSet(r io.Reader) (*TraceSet, error) {
-	br := bufio.NewReader(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("channel: trace read: %v", err)
+	}
+	br := bytes.NewReader(data)
 	magic := make([]byte, len(traceMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("channel: trace header: %v", err)
@@ -338,11 +357,17 @@ func ReadTraceSet(r io.Reader) (*TraceSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("channel: trace stream count: %v", err)
 	}
+	if nstreams > uint64(br.Len())/minTraceStreamBytes {
+		return nil, fmt.Errorf("channel: trace stream count %d exceeds what %d remaining bytes hold", nstreams, br.Len())
+	}
 	set := NewTraceSet()
 	for si := uint64(0); si < nstreams; si++ {
 		nameLen, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("channel: trace stream name: %v", err)
+		}
+		if nameLen > uint64(br.Len()) {
+			return nil, fmt.Errorf("channel: trace stream name length %d exceeds the %d remaining bytes", nameLen, br.Len())
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(br, name); err != nil {
@@ -359,9 +384,12 @@ func ReadTraceSet(r io.Reader) (*TraceSet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("channel: trace stream %q: %v", name, err)
 		}
+		if nrecs > uint64(br.Len())/minTraceRecBytes {
+			return nil, fmt.Errorf("channel: trace stream %q: record count %d exceeds what %d remaining bytes hold", name, nrecs, br.Len())
+		}
 		tr := set.Stream(string(name))
 		tr.Mode = TraceMode(mode)
-		tr.Recs = make([]TraceRec, 0, nrecs)
+		tr.Recs = make([]TraceRec, 0, min(nrecs, maxTracePrealloc))
 		var prev sim.Time
 		for ri := uint64(0); ri < nrecs; ri++ {
 			delta, err := binary.ReadUvarint(br)

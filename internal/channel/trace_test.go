@@ -160,6 +160,31 @@ func TestReadTraceSetRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadTraceSetRejectsImpossibleCounts feeds headers whose counts and
+// lengths claim far more than the input holds. The first case is a 21-byte
+// file declaring one stream of 2^40 records: sized from that count, the
+// record slice would be 32 TiB and the process would die out of memory.
+func TestReadTraceSetRejectsImpossibleCounts(t *testing.T) {
+	for _, tc := range []struct{ name, in string }{
+		{"record count 2^40", "LAMSTRC1\x01\x04ab/i\x00\x80\x80\x80\x80\x80\x20"},
+		{"record count one past the input", "LAMSTRC1\x01\x04ab/i\x00\x02\x00\x00\x00\x00"},
+		{"name length 2^40", "LAMSTRC1\x01\x80\x80\x80\x80\x80\x20ab/i"},
+		{"stream count 2^40", "LAMSTRC1\x80\x80\x80\x80\x80\x20\x04ab/i\x00\x00"},
+	} {
+		if _, err := ReadTraceSet(strings.NewReader(tc.in)); err == nil {
+			t.Errorf("%s: want error", tc.name)
+		}
+	}
+	// The largest count the input can hold still decodes.
+	set, err := ReadTraceSet(strings.NewReader("LAMSTRC1\x01\x04ab/i\x00\x01\x00\x00\x00\x01"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := set.Get("ab/i").Recs; len(recs) != 1 || !recs[0].Corrupt {
+		t.Fatalf("recs = %+v, want one corrupt record", recs)
+	}
+}
+
 func TestImportTwoColumn(t *testing.T) {
 	in := `# measured link trace
 0.0 0

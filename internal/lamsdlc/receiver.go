@@ -93,11 +93,6 @@ func NewReceiver(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics
 	return r
 }
 
-// SetDeliver replaces the upward delivery callback. The node layer uses it
-// to route a link's deliveries into the receiving node's network layer
-// after the endpoints are wired.
-func (r *Receiver) SetDeliver(fn arq.DeliverFunc) { r.deliver = fn }
-
 // Start begins the periodic checkpoint process.
 func (r *Receiver) Start() {
 	if r.started {

@@ -41,10 +41,15 @@ type Node struct {
 	reseq  map[ID]*resequence.Resequencer
 
 	// OnDeliver receives in-order, exactly-once packets addressed to this
-	// node. May be nil.
+	// node. May be nil. The packet's Payload aliases wire bytes other
+	// entities may still hold (a retransmission buffer upstream): it may be
+	// retained but must not be written.
 	OnDeliver func(now sim.Time, pkt Packet)
 
-	pendingReroute []Packet
+	// pendingReroute holds the wire bytes of packets waiting for the next
+	// RecomputeRoutes pass: reclaimed from failed links, or refused by the
+	// next hop while in transit.
+	pendingReroute [][]byte
 
 	seqTo map[ID]uint64 // per-destination originating sequence numbers
 
@@ -146,20 +151,25 @@ func (n *Node) AttachSplit(neighbor *Node, link *channel.Link, eng arq.Engine) a
 
 // Send originates a packet to dst. It reports whether the packet was
 // accepted by the first-hop link (or delivered locally).
+//
+// The packet is encoded here, once: every hop after this one relays the
+// same wire bytes, and the destination resequences them as they are.
 func (n *Node) Send(dst ID, payload []byte) bool {
-	pkt := Packet{Src: n.id, Dst: dst, Seq: n.seqTo[dst], Payload: payload}
+	seq := n.seqTo[dst]
+	wire := Packet{Src: n.id, Dst: dst, Seq: seq, Payload: payload}.Encode()
 	n.seqTo[dst]++
 	n.Stats.Originated.Inc()
 	if dst == n.id {
-		n.deliverLocal(n.sched.Now(), pkt)
+		n.deliverLocal(n.sched.Now(), n.id, seq, wire)
 		return true
 	}
-	return n.dispatch(pkt)
+	return n.dispatch(dst, wire)
 }
 
-// dispatch routes and enqueues an encoded packet on the next-hop link.
-func (n *Node) dispatch(pkt Packet) bool {
-	nh, ok := n.routes[pkt.Dst]
+// dispatch routes an encoded packet addressed to dst and enqueues its wire
+// bytes on the next-hop link.
+func (n *Node) dispatch(dst ID, wire []byte) bool {
+	nh, ok := n.routes[dst]
 	if !ok {
 		n.Stats.NoRoute.Inc()
 		return false
@@ -173,8 +183,7 @@ func (n *Node) dispatch(pkt Packet) bool {
 		n.Stats.LinkDown.Inc()
 		return false
 	}
-	dg := arq.Datagram{ID: ol.nextID, Payload: pkt.Encode()}
-	if !ol.pair.Enqueue(dg) {
+	if !ol.pair.Enqueue(arq.Datagram{ID: ol.nextID, Payload: wire}) {
 		n.Stats.BufferFull.Inc()
 		return false
 	}
@@ -185,28 +194,35 @@ func (n *Node) dispatch(pkt Packet) bool {
 // handleArrival processes a datagram delivered by one of this node's
 // incoming DLC sessions: deliver locally or forward immediately (the
 // paper's relaxed in-sequence model — no reordering at transit nodes).
+//
+// Forwarding is zero-copy: the delivered payload is the packet's wire
+// encoding, and it goes out on the next hop unchanged. That is sound
+// because payload bytes are immutable once handed to a pipe (the
+// channel.Pipe.Send and arq.DeliverFunc contracts), so the upstream
+// sender's retransmission buffer and the next hop may share one slice.
 func (n *Node) handleArrival(now sim.Time, dg arq.Datagram) {
 	pkt, err := DecodePacket(dg.Payload)
 	if err != nil {
 		return // malformed; a real node would log and count
 	}
 	if pkt.Dst == n.id {
-		n.deliverLocal(now, pkt)
+		n.deliverLocal(now, pkt.Src, pkt.Seq, dg.Payload)
 		return
 	}
 	n.Stats.Forwarded.Inc()
-	if !n.dispatch(pkt) {
+	if !n.dispatch(pkt.Dst, dg.Payload) {
 		// The next hop refused (failed link, buffer full, or no route).
 		// A transit node has no upstream to push back on — the DLC behind
 		// us already released the frame — so park the packet for the next
 		// route recomputation rather than lose it.
-		n.pendingReroute = append(n.pendingReroute, pkt)
+		n.pendingReroute = append(n.pendingReroute, dg.Payload)
 	}
 }
 
-// deliverLocal resequences per source and releases in order.
-func (n *Node) deliverLocal(now sim.Time, pkt Packet) {
-	rs, ok := n.reseq[pkt.Src]
+// deliverLocal resequences per source and releases in order. wire is the
+// packet's encoding; the resequencer holds it as is.
+func (n *Node) deliverLocal(now sim.Time, src ID, seq uint64, wire []byte) {
+	rs, ok := n.reseq[src]
 	if !ok {
 		rs = resequence.New(func(now sim.Time, dg arq.Datagram) {
 			n.Stats.Delivered.Inc()
@@ -218,9 +234,9 @@ func (n *Node) deliverLocal(now sim.Time, pkt Packet) {
 				n.OnDeliver(now, p)
 			}
 		})
-		n.reseq[pkt.Src] = rs
+		n.reseq[src] = rs
 	}
-	rs.Push(now, arq.Datagram{ID: pkt.Seq, Payload: pkt.Encode()})
+	rs.Push(now, arq.Datagram{ID: seq, Payload: wire})
 }
 
 // Resequencer exposes the per-source resequencer (nil if none yet), for

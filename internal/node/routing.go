@@ -23,8 +23,9 @@ func (n *Node) LinkAlive(neighbor ID) bool {
 	return ok && !ol.failed
 }
 
-// pendingReroute accumulates packets reclaimed from failed links until the
-// next RecomputeRoutes pass re-dispatches them.
+// reclaimFailedLinks moves the wire bytes of packets stranded on failed
+// links into pendingReroute, where the next RecomputeRoutes pass
+// re-dispatches them.
 func (n *Node) reclaimFailedLinks() {
 	for _, ol := range n.links {
 		if !ol.failed || ol.reclaimed {
@@ -32,28 +33,29 @@ func (n *Node) reclaimFailedLinks() {
 		}
 		ol.reclaimed = true
 		for _, dg := range ol.pair.Reclaim() {
-			pkt, err := DecodePacket(dg.Payload)
-			if err != nil {
+			if _, err := DecodePacket(dg.Payload); err != nil {
 				continue
 			}
-			n.pendingReroute = append(n.pendingReroute, pkt)
+			n.pendingReroute = append(n.pendingReroute, dg.Payload)
 		}
 	}
 }
 
-// flushPending re-dispatches reclaimed packets over the current routes.
+// flushPending re-dispatches parked packets over the current routes,
+// without re-encoding them.
 func (n *Node) flushPending() {
 	pending := n.pendingReroute
 	n.pendingReroute = nil
-	for _, pkt := range pending {
+	for _, wire := range pending {
 		n.Stats.Rerouted.Inc()
+		pkt, _ := DecodePacket(wire) // validated when parked
 		if pkt.Dst == n.id {
-			n.deliverLocal(n.sched.Now(), pkt)
+			n.deliverLocal(n.sched.Now(), pkt.Src, pkt.Seq, wire)
 			continue
 		}
-		if !n.dispatch(pkt) {
+		if !n.dispatch(pkt.Dst, wire) {
 			// Still unroutable: keep for the next recompute.
-			n.pendingReroute = append(n.pendingReroute, pkt)
+			n.pendingReroute = append(n.pendingReroute, wire)
 		}
 	}
 }

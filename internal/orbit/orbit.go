@@ -69,12 +69,34 @@ func (o Orbit) MeanMotion() float64 {
 }
 
 // Position returns the ECI position at time t after epoch.
-func (o Orbit) Position(t time.Duration) Vec3 {
-	u := o.PhaseRad + o.MeanMotion()*t.Seconds() // argument of latitude
-	r := o.Radius()
+func (o Orbit) Position(t time.Duration) Vec3 { return o.Track().At(t) }
+
+// Track is an orbit with its time-invariant terms evaluated once: the
+// radius, the mean motion, and the cosines and sines of the inclination
+// and RAAN. Orbit.Position builds one per call; a caller that evaluates one
+// orbit at many instants (a propagation-delay function consulted per
+// frame, a visibility scan) keeps the Track and pays only for the
+// argument-of-latitude terms per instant.
+type Track struct {
+	phase, n, r            float64
+	cosI, sinI, cosO, sinO float64
+}
+
+// Track evaluates the orbit's time-invariant terms.
+func (o Orbit) Track() Track {
+	tr := Track{phase: o.PhaseRad, n: o.MeanMotion(), r: o.Radius()}
+	tr.cosI, tr.sinI = math.Cos(o.InclinationRad), math.Sin(o.InclinationRad)
+	tr.cosO, tr.sinO = math.Cos(o.RAANRad), math.Sin(o.RAANRad)
+	return tr
+}
+
+// At returns the ECI position at time t after epoch.
+func (tr Track) At(t time.Duration) Vec3 {
+	u := tr.phase + tr.n*t.Seconds() // argument of latitude
+	r := tr.r
 	cosU, sinU := math.Cos(u), math.Sin(u)
-	cosI, sinI := math.Cos(o.InclinationRad), math.Sin(o.InclinationRad)
-	cosO, sinO := math.Cos(o.RAANRad), math.Sin(o.RAANRad)
+	cosI, sinI := tr.cosI, tr.sinI
+	cosO, sinO := tr.cosO, tr.sinO
 	// Rotate the in-plane position (r cosU, r sinU, 0) by inclination about
 	// x then RAAN about z.
 	x := r * (cosO*cosU - sinO*sinU*cosI)
@@ -93,15 +115,34 @@ type Link struct {
 }
 
 // RangeM returns the inter-satellite distance at time t.
-func (l Link) RangeM(t time.Duration) float64 {
-	return l.B.Position(t).Sub(l.A.Position(t)).Norm()
+func (l Link) RangeM(t time.Duration) float64 { return l.Track().RangeM(t) }
+
+// Visible reports whether the two satellites have line of sight at t: the
+// segment between them stays above EarthRadius+GrazingAltitude.
+func (l Link) Visible(t time.Duration) bool { return l.Track().Visible(t) }
+
+// LinkTrack is a Link with both orbits' time-invariant terms evaluated
+// once (see Track), for callers that query one link at many instants.
+type LinkTrack struct {
+	A, B             Track
+	GrazingAltitudeM float64
+}
+
+// Track evaluates both orbits' time-invariant terms.
+func (l Link) Track() LinkTrack {
+	return LinkTrack{A: l.A.Track(), B: l.B.Track(), GrazingAltitudeM: l.GrazingAltitudeM}
+}
+
+// RangeM returns the inter-satellite distance at time t.
+func (l LinkTrack) RangeM(t time.Duration) float64 {
+	return l.B.At(t).Sub(l.A.At(t)).Norm()
 }
 
 // Visible reports whether the two satellites have line of sight at t: the
 // segment between them stays above EarthRadius+GrazingAltitude.
-func (l Link) Visible(t time.Duration) bool {
-	pa := l.A.Position(t)
-	pb := l.B.Position(t)
+func (l LinkTrack) Visible(t time.Duration) bool {
+	pa := l.A.At(t)
+	pb := l.B.At(t)
 	d := pb.Sub(pa)
 	dd := d.Dot(d)
 	if dd == 0 {
@@ -147,18 +188,19 @@ func (l Link) Windows(horizon, step time.Duration) []Window {
 	if step <= 0 {
 		panic("orbit: non-positive scan step")
 	}
+	lt := l.Track()
 	var out []Window
-	inWindow := l.Visible(0)
+	inWindow := lt.Visible(0)
 	var start time.Duration
 	if inWindow {
 		start = 0
 	}
 	for t := step; t <= horizon; t += step {
-		v := l.Visible(t)
+		v := lt.Visible(t)
 		if v == inWindow {
 			continue
 		}
-		edge := l.bisect(t-step, t)
+		edge := lt.bisect(t-step, t)
 		if v {
 			start = edge
 		} else {
@@ -172,7 +214,7 @@ func (l Link) Windows(horizon, step time.Duration) []Window {
 	return out
 }
 
-func (l Link) bisect(lo, hi time.Duration) time.Duration {
+func (l LinkTrack) bisect(lo, hi time.Duration) time.Duration {
 	vlo := l.Visible(lo)
 	for hi-lo > time.Millisecond {
 		mid := lo + (hi-lo)/2
@@ -202,9 +244,10 @@ func (l Link) Stats(w Window, step time.Duration) RangeStats {
 	var st RangeStats
 	st.MinM = math.Inf(1)
 	st.MaxM = math.Inf(-1)
+	lt := l.Track()
 	var sum, sumSq float64
 	for t := w.Start; t <= w.End; t += step {
-		r := l.RangeM(t)
+		r := lt.RangeM(t)
 		if r < st.MinM {
 			st.MinM = r
 		}

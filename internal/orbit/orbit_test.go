@@ -2,6 +2,7 @@ package orbit
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -29,6 +30,61 @@ func TestPositionStaysOnSphere(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// positionReference is Orbit.Position as written before its constant terms
+// moved into Track, kept verbatim as the bit-exact reference.
+func positionReference(o Orbit, t time.Duration) Vec3 {
+	u := o.PhaseRad + o.MeanMotion()*t.Seconds() // argument of latitude
+	r := o.Radius()
+	cosU, sinU := math.Cos(u), math.Sin(u)
+	cosI, sinI := math.Cos(o.InclinationRad), math.Sin(o.InclinationRad)
+	cosO, sinO := math.Cos(o.RAANRad), math.Sin(o.RAANRad)
+	x := r * (cosO*cosU - sinO*sinU*cosI)
+	y := r * (sinO*cosU + cosO*sinU*cosI)
+	z := r * (sinU * sinI)
+	return Vec3{x, y, z}
+}
+
+func sameBits(a, b Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
+}
+
+// TestTrackMatchesPositionFormula pins that hoisting the constant terms
+// changes no bit: Track.At, Position, and the LinkTrack range equal the
+// reference formula exactly over random orbits and instants, so every
+// orbit-driven delay — and every trajectory built on one — is unchanged.
+func TestTrackMatchesPositionFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randOrbit := func() Orbit {
+		return Orbit{
+			AltitudeM:      200e3 + rng.Float64()*2000e3,
+			InclinationRad: rng.Float64() * math.Pi,
+			RAANRad:        rng.Float64() * 2 * math.Pi,
+			PhaseRad:       rng.Float64() * 2 * math.Pi,
+		}
+	}
+	for i := 0; i < 200; i++ {
+		a, b := randOrbit(), randOrbit()
+		ta := a.Track()
+		lt := Link{A: a, B: b, GrazingAltitudeM: 80e3}.Track()
+		for j := 0; j < 50; j++ {
+			at := time.Duration(rng.Int63n(int64(48 * time.Hour)))
+			want := positionReference(a, at)
+			if got := ta.At(at); !sameBits(got, want) {
+				t.Fatalf("orbit %+v at %v: Track.At = %+v, reference %+v", a, at, got, want)
+			}
+			if got := a.Position(at); !sameBits(got, want) {
+				t.Fatalf("orbit %+v at %v: Position = %+v, reference %+v", a, at, got, want)
+			}
+			wantRange := positionReference(b, at).Sub(want).Norm()
+			if got := lt.RangeM(at); math.Float64bits(got) != math.Float64bits(wantRange) {
+				t.Fatalf("link at %v: LinkTrack.RangeM = %v, reference %v", at, got, wantRange)
+			}
+		}
 	}
 }
 
@@ -329,8 +385,9 @@ func TestWalkerGeometry(t *testing.T) {
 	inc := 86.4 * math.Pi / 180
 	maxLat := 0.0
 	o := orbits[0]
+	tr := o.Track()
 	for dt := time.Duration(0); dt < o.Period(); dt += 10 * time.Second {
-		lat := math.Abs(o.Latitude(dt))
+		lat := math.Abs(tr.Latitude(dt))
 		if lat > inc+1e-9 {
 			t.Fatalf("latitude %v exceeds inclination %v", lat, inc)
 		}

@@ -78,7 +78,7 @@ func (w Walker) Orbits() []Orbit {
 // polar latitude threshold (the planes converge and the relative geometry
 // swings too fast for the pointing system), which is what drives the
 // handover churn the constellation experiments measure.
-func (o Orbit) Latitude(t time.Duration) float64 {
-	p := o.Position(t)
+func (tr Track) Latitude(t time.Duration) float64 {
+	p := tr.At(t)
 	return math.Asin(p.Z / p.Norm())
 }

@@ -3,7 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -338,12 +338,13 @@ func buildAdjacencies(cfg Config, orbits []orbit.Orbit) []adjacency {
 	horizon := time.Duration(cfg.Horizon)
 	for i := range adjs {
 		a := &adjs[i]
+		lt := a.geom.Track()
 		usable := func(t time.Duration) bool {
-			if !a.geom.Visible(t) {
+			if !lt.Visible(t) {
 				return false
 			}
 			if a.cross && polar > 0 {
-				if math.Abs(a.geom.A.Latitude(t)) > polar || math.Abs(a.geom.B.Latitude(t)) > polar {
+				if math.Abs(lt.A.Latitude(t)) > polar || math.Abs(lt.B.Latitude(t)) > polar {
 					return false
 				}
 			}
@@ -357,7 +358,7 @@ func buildAdjacencies(cfg Config, orbits []orbit.Orbit) []adjacency {
 			if t > horizon {
 				t = horizon
 			}
-			d := orbit.PropagationDelay(a.geom.RangeM(t))
+			d := orbit.PropagationDelay(lt.RangeM(t))
 			if d < lo {
 				lo = d
 			}
@@ -573,7 +574,7 @@ func Build(cfg Config) (*Constellation, error) {
 		neighbors[a.v] = append(neighbors[a.v], a.u)
 	}
 	for i := range neighbors {
-		sort.Ints(neighbors[i])
+		slices.Sort(neighbors[i])
 	}
 
 	flows := make([]flowState, 0, cfg.Flows)
@@ -713,7 +714,7 @@ func (c *Constellation) Run() Report {
 		}
 		delays = append(delays, fl.delays...)
 	}
-	sort.Slice(delays, func(i, j int) bool { return delays[i] < delays[j] })
+	slices.Sort(delays)
 	if m := len(delays); m > 0 {
 		i95 := m * 95 / 100
 		if i95 >= m {

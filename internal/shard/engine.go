@@ -30,8 +30,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/channel"
@@ -49,17 +50,17 @@ type message struct {
 	seq  uint64 // per-lane post counter
 }
 
-// before is the canonical drain order: arrival time, then lane, then the
+// compare is the canonical drain order: arrival time, then lane, then the
 // lane's own FIFO counter. Lanes are unique per pipe and seq unique per
-// lane, so the order is total — sort.Slice needs no stability.
-func (m message) before(n message) bool {
-	if m.at != n.at {
-		return m.at.Before(n.at)
+// lane, so the order is total — the sort needs no stability.
+func (m message) compare(n message) int {
+	if c := cmp.Compare(m.at, n.at); c != 0 {
+		return c
 	}
-	if m.lane != n.lane {
-		return m.lane < n.lane
+	if c := cmp.Compare(m.lane, n.lane); c != 0 {
+		return c
 	}
-	return m.seq < n.seq
+	return cmp.Compare(m.seq, n.seq)
 }
 
 // Shard is one partition: a scheduler plus the mailbox other shards post
@@ -128,7 +129,7 @@ func (sh *Shard) round(end sim.Time) {
 		}
 	}
 	sh.pending = keep
-	sort.Slice(due, func(i, j int) bool { return due[i].before(due[j]) })
+	slices.SortFunc(due, message.compare)
 	for i := range due {
 		m := sh.take()
 		*m = due[i]
