@@ -12,7 +12,7 @@ test:
 # the test binary so a regression that only bites the benchmark paths fails
 # CI instead of the next perf investigation.
 .PHONY: ci
-ci: test cover faultmatrix stabmatrix lint allocsmoke constsmoke tracesmoke
+ci: test cover faultmatrix stabmatrix lint allocsmoke constsmoke tracesmoke fuzzsmoke
 	go test -race ./...
 	go test ./internal/sim -run xxx -bench 'BenchmarkScheduler|BenchmarkTimer' -benchtime 100x -benchmem
 
@@ -46,8 +46,24 @@ constsmoke:
 # mutation bug would race on.
 .PHONY: tracesmoke
 tracesmoke:
-	go test ./internal/channel -count=1 -run 'TestParseModel|TestModelNew|TestLegacySpecs|TestTrace|TestRecorder|TestReplay|TestEncode|TestReadTrace|TestImportTwoColumn|TestGESplitClock|TestSpecGrammar'
+	go test ./internal/channel -count=1 -run 'TestParseModel|TestModelNew|TestLegacySpecs|TestTrace|TestRecorder|TestReplay|TestEncode|TestReadTrace|TestGESplitClock|TestSpecGrammar'
 	go test ./internal/bench -race -count=1 -run 'TestTraceRoundTripSeeds|TestTraceReplayWorkerInvariance|TestTraceReplayEveryEngine|TestAnalyticalModelProb'
+
+# Fuzz smoke: every Fuzz target in the module (codecs, the live deframer,
+# the channel-model spec parser and the trace decoder) gets FUZZTIME of
+# coverage-guided input on top of its seed corpus. Targets are discovered
+# from the test sources, so a new one joins without editing this list. A
+# crasher lands in the package's testdata/fuzz directory, where plain
+# `go test` replays it from then on.
+FUZZTIME := 5s
+.PHONY: fuzzsmoke
+fuzzsmoke:
+	@set -e; for dir in $$(grep -rl --include='*_test.go' '^func Fuzz' internal | xargs -n1 dirname | sort -u); do \
+		for fn in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go); do \
+			echo "fuzzsmoke: ./$$dir $$fn"; \
+			go test ./$$dir -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME); \
+		done; \
+	done
 
 # Allocation-budget smoke (ISSUE 6): the E4 sweep must stay inside the
 # allocs/op budget pinned in BENCH_PR6.json (229483 before the per-run

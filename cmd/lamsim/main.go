@@ -4,9 +4,9 @@
 //
 // Examples:
 //
-//	lamsim -proto lams -n 5000 -km 8000 -ber 1e-6
-//	lamsim -proto srhdlc -n 5000 -km 8000 -ber 1e-6 -w 128
-//	lamsim -proto lams -pf 0.2 -pc 0.05 -icp 5ms -cdepth 5
+//	lamsim -proto lams -n 5000 -km 8000 -imodel bsc:ber=1e-6,fec=hamming74 -cmodel bsc:ber=1e-6,fec=rep3
+//	lamsim -proto srhdlc -n 5000 -km 8000 -imodel bsc:ber=1e-6,fec=hamming74 -w 128
+//	lamsim -proto lams -imodel fixed:p=0.2 -cmodel fixed:p=0.05 -icp 5ms -cdepth 5
 package main
 
 import (
@@ -57,12 +57,9 @@ func main() {
 		payload = flag.Int("payload", 1024, "payload bytes per datagram")
 		rate    = flag.Float64("rate", 300e6, "link rate, bits/s")
 		km      = flag.Float64("km", 4000, "link distance, km")
-		imodel  = flag.String("imodel", "", "I-frame error model spec: "+channel.SpecGrammar())
-		cmodel  = flag.String("cmodel", "", "control-frame error model spec (same grammar)")
+		imodel  = flag.String("imodel", "", "I-frame error model spec (empty = perfect): "+channel.SpecGrammar())
+		cmodel  = flag.String("cmodel", "", "control-frame error model spec (same grammar; empty = perfect)")
 		record  = flag.String("record", "", "write the run's per-frame channel decisions to this trace file (replay with -imodel trace:file=...)")
-		ber     = flag.Float64("ber", 0, "channel BER (through the link FEC; shorthand for -imodel/-cmodel bsc specs)")
-		pf      = flag.Float64("pf", -1, "fixed I-frame error probability (overrides -ber; shorthand for fixed: specs)")
-		pc      = flag.Float64("pc", -1, "fixed control-frame error probability (overrides -ber)")
 		icp     = flag.Duration("icp", 10*time.Millisecond, "LAMS checkpoint interval W_cp")
 		cdepth  = flag.Int("cdepth", 3, "LAMS cumulation depth C_depth")
 		w       = flag.Int("w", 64, "HDLC window size")
@@ -112,12 +109,7 @@ func main() {
 	}
 
 	frameBits := (*payload + 21) * 8
-	// One spec pair drives both frame classes; the legacy -pf/-pc/-ber
-	// shorthands map onto the same registry grammar.
 	c.IModelSpec, c.CModelSpec = *imodel, *cmodel
-	if c.IModelSpec == "" && c.CModelSpec == "" {
-		c.IModelSpec, c.CModelSpec = channel.LegacySpecs(*ber, *pf, *pc)
-	}
 	for _, spec := range []string{c.IModelSpec, c.CModelSpec} {
 		if spec == "" {
 			continue

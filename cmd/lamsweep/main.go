@@ -33,11 +33,8 @@ func main() {
 		payload = flag.Int("payload", 1024, "payload bytes")
 		rate    = flag.Float64("rate", 300e6, "link rate, bits/s")
 		km      = flag.Float64("km", 4000, "link distance, km")
-		imodel  = flag.String("imodel", "", "I-frame error model spec when not swept: "+channel.SpecGrammar())
-		cmodel  = flag.String("cmodel", "", "control-frame error model spec (same grammar)")
-		ber     = flag.Float64("ber", 0, "base BER when not swept (shorthand for bsc specs)")
-		pf      = flag.Float64("pf", -1, "fixed P_F when not swept (overrides ber; shorthand for fixed: specs)")
-		pc      = flag.Float64("pc", -1, "fixed P_C (with -pf)")
+		imodel  = flag.String("imodel", "", "I-frame error model spec when not swept (empty = perfect): "+channel.SpecGrammar())
+		cmodel  = flag.String("cmodel", "", "control-frame error model spec when not swept (same grammar)")
 		icp     = flag.Duration("icp", 10*time.Millisecond, "checkpoint interval")
 		cdepth  = flag.Int("cdepth", 3, "cumulation depth")
 		w       = flag.Int("w", 64, "HDLC window")
@@ -64,6 +61,16 @@ func main() {
 		Tproc:        10 * time.Microsecond,
 		Seed:         *seed,
 		Horizon:      *horizon,
+		IModelSpec:   *imodel,
+		CModelSpec:   *cmodel,
+	}
+	for _, spec := range []string{*imodel, *cmodel} {
+		if spec == "" {
+			continue
+		}
+		if _, err := channel.ParseModel(spec); err != nil {
+			fatal("%v", err)
+		}
 	}
 
 	var protoList []bench.Protocol
@@ -89,12 +96,13 @@ func main() {
 			fatal("bad value %q: %v", vs, err)
 		}
 		c := base
-		applyModels(&c, *imodel, *cmodel, *ber, *pf, *pc)
+		// The numeric error axes replace both specs through
+		// channel.LegacySpecs, the home of the per-frame-class FEC split.
 		switch *param {
 		case "ber":
-			applyModels(&c, "", "", v, -1, -1)
+			c.IModelSpec, c.CModelSpec = channel.LegacySpecs(v, -1, -1)
 		case "pf":
-			applyModels(&c, "", "", 0, v, maxf(*pc, v/4))
+			c.IModelSpec, c.CModelSpec = channel.LegacySpecs(0, v, v/4)
 		case "km":
 			c.OneWay = orbit.PropagationDelay(v * 1e3)
 			c.Alpha = c.OneWay
@@ -159,33 +167,6 @@ func snapshotJSON(res bench.RunResult) string {
 // csvQuote wraps s in double quotes with RFC 4180 escaping.
 func csvQuote(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-}
-
-// applyModels installs error model specs: explicit -imodel/-cmodel specs
-// win; otherwise the legacy -pf/-pc/-ber shorthands map through
-// channel.LegacySpecs (the single home of the per-frame-class FEC
-// defaults this CLI used to hardcode).
-func applyModels(c *bench.RunConfig, imodel, cmodel string, ber, pf, pc float64) {
-	if imodel != "" || cmodel != "" {
-		for _, spec := range []string{imodel, cmodel} {
-			if spec == "" {
-				continue
-			}
-			if _, err := channel.ParseModel(spec); err != nil {
-				fatal("%v", err)
-			}
-		}
-		c.IModelSpec, c.CModelSpec = imodel, cmodel
-		return
-	}
-	c.IModelSpec, c.CModelSpec = channel.LegacySpecs(ber, pf, pc)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(format string, args ...any) {

@@ -25,10 +25,10 @@ func main() {
 	cfg.CheckpointInterval = 5 * time.Millisecond
 
 	pipe := channel.PipeConfig{
-		RateBps:    300e6,
-		Delay:      channel.ConstantDelay(6670 * time.Microsecond),
-		IModelSpec: "fixed:p=0.10", // a rough channel: 10% frame errors
-		CModelSpec: "fixed:p=0.02",
+		RateBps: 300e6,
+		Delay:   channel.ConstantDelay(6670 * time.Microsecond),
+		IModel:  channel.FixedProb{P: 0.10}, // a rough channel: 10% frame errors
+		CModel:  channel.FixedProb{P: 0.02},
 	}
 
 	nodes, _ := node.Line(sched, 4, arq.MustEngine("lams", cfg), pipe, rng)

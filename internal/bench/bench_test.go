@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/channel"
 	"repro/internal/sim"
 )
 
@@ -69,7 +68,7 @@ func TestAnalyticalMapping(t *testing.T) {
 	}
 	// Models without a closed-form per-frame probability map to NaN (the
 	// analytic columns render "-"), never to a silent 0.
-	c.IModel = &channel.BSC{BER: 1e-6}
+	c.IModelSpec = "bsc:ber=1e-6"
 	if !math.IsNaN(c.Analytical().PF) {
 		t.Fatal("BSC should map to NaN, not a fixed P_F")
 	}

@@ -19,10 +19,10 @@ import (
 // workerCount is the configured pool size; 0 means GOMAXPROCS.
 var workerCount atomic.Int64
 
-// SetWorkers fixes the number of worker goroutines used by RunMany,
-// SweepParallel, and the experiment tables. n <= 0 restores the default
-// (GOMAXPROCS). Safe to call concurrently; batches already in flight keep
-// the pool size they started with.
+// SetWorkers fixes the number of worker goroutines used by RunMany and the
+// experiment tables. n <= 0 restores the default (GOMAXPROCS). Safe to call
+// concurrently; batches already in flight keep the pool size they started
+// with.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -53,20 +53,6 @@ func DeriveSeed(base uint64, i int) uint64 {
 func RunMany(cfgs []RunConfig) []RunResult {
 	return mapIndexed(len(cfgs), func(i int) RunResult {
 		return Run(cfgs[i])
-	})
-}
-
-// SweepParallel runs n replicate points derived from base: point i gets
-// Seed DeriveSeed(base.Seed, i), then mutate (if non-nil) may further
-// specialize the config. Results come back in point order.
-func SweepParallel(base RunConfig, n int, mutate func(i int, c *RunConfig)) []RunResult {
-	return mapIndexed(n, func(i int) RunResult {
-		c := base
-		c.Seed = DeriveSeed(base.Seed, i)
-		if mutate != nil {
-			mutate(i, &c)
-		}
-		return Run(c)
 	})
 }
 

@@ -116,34 +116,6 @@ func TestMultiHopDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestSweepParallelDerivesSeeds(t *testing.T) {
-	// An error process makes the runs seed-sensitive; on a perfect channel
-	// every replicate is identical by design.
-	base := withErrors(Base(), 0.1, 0.025)
-	base.N = 100
-	withWorkers(t, 4, func() {
-		results := SweepParallel(base, 6, func(i int, c *RunConfig) {
-			// Runs on worker goroutines; testing.T is safe for concurrent use.
-			if c.Seed != DeriveSeed(base.Seed, i) {
-				t.Errorf("point %d: seed %d, want DeriveSeed(%d, %d)", i, c.Seed, base.Seed, i)
-			}
-		})
-		if len(results) != 6 {
-			t.Fatalf("got %d results, want 6", len(results))
-		}
-		// Replicates with independent seeds should not all be identical.
-		same := true
-		for _, res := range results[1:] {
-			if !reflect.DeepEqual(res, results[0]) {
-				same = false
-			}
-		}
-		if same {
-			t.Fatal("all replicate points identical; seed derivation is not taking effect")
-		}
-	})
-}
-
 func TestMapIndexedPanicPropagates(t *testing.T) {
 	withWorkers(t, 4, func() {
 		defer func() {

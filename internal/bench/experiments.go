@@ -38,10 +38,12 @@ func Base() RunConfig {
 	}
 }
 
-// withErrors sets FixedProb error models.
+// withErrors sets fixed per-frame error probabilities. %g prints the
+// shortest form that parses back to the same float64, so the spec carries
+// pf and pc exactly.
 func withErrors(c RunConfig, pf, pc float64) RunConfig {
-	c.IModel = channel.FixedProb{P: pf}
-	c.CModel = channel.FixedProb{P: pc}
+	c.IModelSpec = fmt.Sprintf("fixed:p=%g", pf)
+	c.CModelSpec = fmt.Sprintf("fixed:p=%g", pc)
 	return c
 }
 
@@ -383,23 +385,12 @@ func E7BurstResilience() *Result {
 	bursts := []sim.Duration{5 * sim.Millisecond, 15 * sim.Millisecond, 25 * sim.Millisecond, 60 * sim.Millisecond}
 	cfgs := make([]RunConfig, 0, 2*len(bursts))
 	for _, burst := range bursts {
-		mk := func() *channel.BurstTrain {
-			return &channel.BurstTrain{
-				Period:   250 * sim.Millisecond,
-				BurstLen: burst,
-				Offset:   40 * sim.Millisecond,
-				BaseBER:  1e-7,
-			}
-		}
+		spec := fmt.Sprintf("burst:period=250ms,len=%v,offset=40ms,ber=1e-7", burst)
 		cl := Base()
 		cl.N = 3000
-		cl.IModel = mk()
-		cl.CModel = mk()
+		cl.IModelSpec, cl.CModelSpec = spec, spec
 		ch := cl
 		ch.Protocol = SRHDLC
-		// Each run gets its own instances: a BurstTrain caches frame-error
-		// probabilities, and the two runs execute on different workers.
-		ch.IModel, ch.CModel = mk(), mk()
 		cfgs = append(cfgs, cl, ch)
 	}
 	results := RunMany(cfgs)
@@ -456,7 +447,10 @@ func E8FailureDetection() *Result {
 		cfg := base.lamsConfig()
 		cfg.CumulationDepth = cds[pi]
 		sched := sim.NewScheduler()
-		link := channel.NewLink(sched, base.pipe("ab"), sim.NewRNG(7))
+		link := channel.NewLink(sched, channel.PipeConfig{
+			RateBps: base.RateBps,
+			Delay:   channel.ConstantDelay(base.OneWay),
+		}, sim.NewRNG(7))
 		var failedAt sim.Time
 		pair := lamsdlc.NewPair(sched, link, cfg, nil, func(now sim.Time, _ string) { failedAt = now })
 		pair.Start()
@@ -725,12 +719,13 @@ func E14HybridFECTradeoff() *Result {
 	}
 	type codec struct {
 		name   string
+		fec    string // fec.Named key for the spec
 		scheme fec.Scheme
 	}
 	codecs := []codec{
-		{"uncoded", fec.Uncoded},
-		{"hamming", fec.Hamming74},
-		{"rep3", fec.Repetition3},
+		{"uncoded", "none", fec.Uncoded},
+		{"hamming", "hamming74", fec.Hamming74},
+		{"rep3", "rep3", fec.Repetition3},
 	}
 	series := map[string]*stats.Series{}
 	for _, c := range codecs {
@@ -747,8 +742,8 @@ func E14HybridFECTradeoff() *Result {
 			// the hopeless uncoded runs at high BER (they report 0).
 			cl.N = 5000
 			cl.Horizon = 20 * sim.Second
-			cl.IModel = &channel.BSC{BER: ber, Scheme: c.scheme}
-			cl.CModel = &channel.BSC{BER: ber, Scheme: fec.Repetition3}
+			cl.IModelSpec = fmt.Sprintf("bsc:ber=%g,fec=%s", ber, c.fec)
+			cl.CModelSpec = fmt.Sprintf("bsc:ber=%g,fec=rep3", ber)
 			cl.IExpansion = c.scheme.Overhead()
 			cl.CExpansion = fec.Repetition3.Overhead()
 			cfgs = append(cfgs, cl)
@@ -968,16 +963,13 @@ func E18MultiHopRelay() *Result {
 		sched := sim.NewScheduler()
 		roundTrip := 2 * 6670 * sim.Microsecond // ~2,000 km hops
 		eng := arq.MustEngine(reg.Name, reg.Defaults(roundTrip))
-		// Model specs, not instances: each hop's pipes instantiate their
-		// own models inside channel.NewPipe — the spec path the node layer
-		// (and anything else that fans one PipeConfig across many links)
-		// must use for stateful models. FixedProb resolves to the exact
-		// instances the hand-built config used, so draws are unchanged.
+		// node.Line hands this config's instances to every hop's pipes,
+		// which is safe because FixedProb is stateless.
 		pipe := channel.PipeConfig{
-			RateBps:    300e6,
-			Delay:      channel.ConstantDelay(6670 * sim.Microsecond),
-			IModelSpec: "fixed:p=0.05",
-			CModelSpec: "fixed:p=0.01",
+			RateBps: 300e6,
+			Delay:   channel.ConstantDelay(6670 * sim.Microsecond),
+			IModel:  channel.FixedProb{P: 0.05},
+			CModel:  channel.FixedProb{P: 0.01},
 		}
 		nodes, _ := node.Line(sched, 3, eng, pipe, sim.NewRNG(uint64(41+pi)))
 		src, dst := nodes[0], nodes[2]

@@ -71,16 +71,14 @@ type RunConfig struct {
 	// Link.
 	RateBps float64
 	OneWay  sim.Duration
-	IModel  channel.ErrorModel // nil = Perfect
-	CModel  channel.ErrorModel
-	// IModelSpec and CModelSpec name the error models by registry spec
-	// ("fixed:p=0.05", "ge:gber=1e-7,...", "trace:file=..."; see
-	// channel.ParseModel). Each of the link's pipes instantiates a FRESH
-	// model from its spec, so stateful models (Gilbert-Elliott, replay
-	// cursors) work per direction — unlike the instance fields above,
-	// which both directions share and which therefore must stay
-	// stateless. Instances take precedence when non-nil; a malformed spec
-	// panics in Run (validate with channel.ParseModel at the flag layer).
+	// IModelSpec and CModelSpec name the I-frame and control-frame error
+	// models by registry spec ("fixed:p=0.05", "ge:gber=1e-7,...",
+	// "trace:file=..."; see channel.ParseModel); empty means a perfect
+	// channel. Run parses each spec once and gives each of the link's
+	// pipes its own instance, so stateful models (Gilbert-Elliott, replay
+	// cursors) work per direction and a config may be shared across a
+	// RunMany batch. A malformed spec panics in Run (validate with
+	// channel.ParseModel at the flag layer).
 	IModelSpec, CModelSpec string
 
 	// RecordChannels, when non-nil, wraps every channel model in a
@@ -133,9 +131,9 @@ type RunConfig struct {
 	// Metrics, when non-nil, is the registry the run's scheduler, channel,
 	// and protocol instruments report into (a live /metrics endpoint shares
 	// one registry across the run). When nil, Run creates a fresh per-run
-	// registry — runs stay hermetic, so RunMany/SweepParallel results are
-	// bit-identical at any worker count — and RunResult.Snapshot carries
-	// its final state either way.
+	// registry — runs stay hermetic, so RunMany results are bit-identical
+	// at any worker count — and RunResult.Snapshot carries its final state
+	// either way.
 	Metrics *metrics.Registry
 }
 
@@ -223,26 +221,33 @@ func (c RunConfig) engineConfig(reg arq.Registration) arq.EngineConfig {
 	}
 }
 
-// pipe builds one direction's config. dir ("ab" or "ba") names the
-// direction's trace streams. Model specs are resolved here rather than in
-// channel.NewPipe so the record/replay wrappers below — and the fault
-// injector's burst gates, which Run applies after this — compose around
-// the concrete per-direction instance.
-func (c RunConfig) pipe(dir string) channel.PipeConfig {
+// models parses the run's two specs, once per run; an empty spec is a
+// perfect channel.
+func (c RunConfig) models() (im, cm channel.Model) {
+	return parseSpec(c.IModelSpec), parseSpec(c.CModelSpec)
+}
+
+func parseSpec(spec string) channel.Model {
+	if spec == "" {
+		spec = "perfect"
+	}
+	return channel.MustParseModel(spec)
+}
+
+// pipe builds one direction's config around fresh instances of the parsed
+// models. dir ("ab" or "ba") names the direction's trace streams. The
+// record/replay wrappers below — and the fault injector's burst gates,
+// which Run applies after this — compose around the concrete
+// per-direction instance.
+func (c RunConfig) pipe(dir string, im, cm channel.Model) channel.PipeConfig {
 	p := channel.PipeConfig{
 		RateBps:    c.RateBps,
 		Delay:      channel.ConstantDelay(c.OneWay),
-		IModel:     c.IModel,
-		CModel:     c.CModel,
+		IModel:     im.New(),
+		CModel:     cm.New(),
 		IExpansion: c.IExpansion,
 		CExpansion: c.CExpansion,
 		Metrics:    c.Metrics,
-	}
-	if p.IModel == nil && c.IModelSpec != "" {
-		p.IModel = channel.MustParseModel(c.IModelSpec).New()
-	}
-	if p.CModel == nil && c.CModelSpec != "" {
-		p.CModel = channel.MustParseModel(c.CModelSpec).New()
 	}
 	if c.ReplayChannels != nil {
 		// Get, not Stream: replay must not mutate a set shared across a
@@ -282,9 +287,10 @@ func Run(c RunConfig) RunResult {
 	sched := sim.NewScheduler()
 	sched.Instrument(c.Metrics)
 	rng := sim.NewRNG(c.Seed)
-	ab := c.pipe("ab")
+	im, cm := c.models()
+	ab := c.pipe("ab", im, cm)
 	ab.Tap = c.TapAB
-	ba := c.pipe("ba")
+	ba := c.pipe("ba", im, cm)
 	ba.Tap = c.TapBA
 	var inj *faults.Injector
 	if c.Faults != nil && len(c.Faults.Events) > 0 {
@@ -455,8 +461,9 @@ func Run(c RunConfig) RunResult {
 // frame sizes from the codec. Non-analytic channels (BSC, Gilbert-Elliott,
 // traces) yield NaN probabilities; render them as "-", never as 0.
 func (c RunConfig) Analytical() analysis.Params {
-	pf := modelProb(analyticModel(c.IModel, c.IModelSpec))
-	pc := modelProb(analyticModel(c.CModel, c.CModelSpec))
+	im, cm := c.models()
+	pf := modelProb(im.New())
+	pc := modelProb(cm.New())
 	frameBytes := c.PayloadBytes + 21 // I-frame header + CRC
 	ctrlBytes := 20                   // empty checkpoint
 	return analysis.Params{
@@ -473,25 +480,12 @@ func (c RunConfig) Analytical() analysis.Params {
 	}
 }
 
-// analyticModel resolves the effective model for the analysis: the
-// instance when set, else a transient instantiation of the spec, else nil
-// (a perfect channel).
-func analyticModel(inst channel.ErrorModel, spec string) channel.ErrorModel {
-	if inst != nil || spec == "" {
-		return inst
-	}
-	return channel.MustParseModel(spec).New()
-}
-
 // modelProb extracts the per-frame error probability through the
 // channel.AnalyticModel capability. A model without it has no closed-form
 // probability, and the honest answer is NaN — the old FixedProb type
 // switch silently returned 0, making every other channel read as
 // error-free in the analytic columns.
 func modelProb(m channel.ErrorModel) float64 {
-	if m == nil {
-		return 0 // nil means Perfect
-	}
 	if am, ok := m.(channel.AnalyticModel); ok {
 		return am.MeanFrameErrorProb()
 	}

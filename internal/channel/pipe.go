@@ -56,18 +56,13 @@ type PipeConfig struct {
 	Delay DelayFn
 	// IModel and CModel are the error processes applied to information and
 	// control frames respectively (assumption 4: separate FEC strengths).
-	// Nil means Perfect.
+	// Nil means Perfect. An instance belongs to one pipe: stateful models
+	// (Gilbert-Elliott sojourns, replay cursors) must not be shared, so a
+	// layer that builds many pipes from one spec parses it once
+	// (ParseModel) and gives each pipe its own Model.New(). NewLink hands
+	// one config's instances to both directions (and the node topologies
+	// to every link they build), so give it stateless models only.
 	IModel, CModel ErrorModel
-	// IModelSpec and CModelSpec name the error processes by registry spec
-	// ("fixed:p=0.05", "ge:...", "trace:file=..."; see ParseModel). A spec
-	// is resolved inside NewPipe to a FRESH instance per pipe — exactly
-	// what stateful models (Gilbert-Elliott sojourns, replay cursors) need,
-	// since instances must never be shared across pipes. The instance
-	// fields above take precedence when non-nil (programmatic use); a
-	// malformed spec panics in NewPipe, a wiring error like a nil
-	// scheduler — layers taking specs from users validate with ParseModel
-	// first.
-	IModelSpec, CModelSpec string
 	// IExpansion and CExpansion scale the wire occupancy of information
 	// and control frames for the FEC code rate (fec.Scheme.Overhead):
 	// coded redundancy costs real transmission time, which is the other
@@ -171,10 +166,10 @@ func NewPipe(sched *sim.Scheduler, cfg PipeConfig, rng *sim.RNG) *Pipe {
 		cfg.Delay = ConstantDelay(0)
 	}
 	if cfg.IModel == nil {
-		cfg.IModel = specModel(cfg.IModelSpec)
+		cfg.IModel = Perfect{}
 	}
 	if cfg.CModel == nil {
-		cfg.CModel = specModel(cfg.CModelSpec)
+		cfg.CModel = Perfect{}
 	}
 	p := &Pipe{sched: sched, cfg: cfg, rng: rng}
 	p.deliverFn = p.deliver
@@ -185,18 +180,6 @@ func NewPipe(sched *sim.Scheduler, cfg PipeConfig, rng *sim.RNG) *Pipe {
 	p.mBits = cfg.Metrics.Counter("channel_bits_sent_total")
 	p.mQueueNS = cfg.Metrics.Histogram("channel_wire_queue_ns", metrics.ExpBuckets(1e3, 4, 16))
 	return p
-}
-
-// specModel instantiates a model spec for one pipe ("" = Perfect).
-func specModel(spec string) ErrorModel {
-	if spec == "" {
-		return Perfect{}
-	}
-	m, err := ParseModel(spec)
-	if err != nil {
-		panic(err)
-	}
-	return m.New()
 }
 
 // SetHandler installs the receiver callback. Frames arriving with no handler
@@ -223,9 +206,6 @@ func (p *Pipe) TxTimeBits(bits int) sim.Duration {
 	}
 	return sim.Duration(float64(bits) / p.cfg.RateBps * float64(sim.Second))
 }
-
-// BusyUntil returns the instant the wire next frees up.
-func (p *Pipe) BusyUntil() sim.Time { return p.busyUntil }
 
 // QueueingDelay returns how long a frame sent now would wait for the wire.
 func (p *Pipe) QueueingDelay() sim.Duration {
@@ -441,16 +421,17 @@ func NewLink(sched *sim.Scheduler, cfg PipeConfig, rng *sim.RNG) *Link {
 
 // NewSplitLink builds a link whose two directions live on different
 // schedulers: AtoB transmits from sendSched (the forward/data direction of
-// a split DLC session), BtoA from recvSched (the reverse/control
-// direction). A pipe's scheduler is its transmit-side clock — with
-// SetRemote installed the arrival side never touches it — so each pipe is
-// homed where its Send calls originate. Both directions still split their
-// RNG streams from one rng, in the same order as NewLink, so a split link
-// consumes randomness identically to a local one.
-func NewSplitLink(sendSched, recvSched *sim.Scheduler, cfg PipeConfig, rng *sim.RNG) *Link {
+// a split DLC session) with config ab, BtoA from recvSched (the
+// reverse/control direction) with config ba. A pipe's scheduler is its
+// transmit-side clock — with SetRemote installed the arrival side never
+// touches it — so each pipe is homed where its Send calls originate. Both
+// directions still split their RNG streams from one rng, in the same order
+// as NewLink, so a split link consumes randomness identically to a local
+// one.
+func NewSplitLink(sendSched, recvSched *sim.Scheduler, ab, ba PipeConfig, rng *sim.RNG) *Link {
 	return &Link{
-		AtoB: NewPipe(sendSched, cfg, rng.Split()),
-		BtoA: NewPipe(recvSched, cfg, rng.Split()),
+		AtoB: NewPipe(sendSched, ab, rng.Split()),
+		BtoA: NewPipe(recvSched, ba, rng.Split()),
 	}
 }
 

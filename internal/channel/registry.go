@@ -1,10 +1,10 @@
 // Channel-model registry: the named seam between everything that
 // *configures* an error process (CLIs, experiment configs, the shard
-// engine, the public facade) and everything that *implements* one. It
-// mirrors internal/arq's protocol registry — Register from init(),
-// ParseModel errors listing what exists, no silent defaults — so a new
-// model reaches every consumer by registering once instead of editing
-// five construction sites.
+// engine) and everything that *implements* one. It mirrors internal/arq's
+// protocol registry — Register from init(), ParseModel errors listing what
+// exists, no silent defaults — so a new model reaches every consumer by
+// registering once. The layer that owns a config parses its specs once and
+// hands each pipe a fresh Model.New(); PipeConfig itself takes instances.
 //
 // The spec grammar is one line:
 //
@@ -274,12 +274,12 @@ func MustParseModel(spec string) Model {
 	return m
 }
 
-// LegacySpecs maps the historical CLI error knobs onto model specs: fixed
+// LegacySpecs maps the two numeric sweep axes onto model specs: fixed
 // P_F/P_C when pf >= 0, otherwise a BER through the link FEC stack
 // (assumption 4: Hamming(7,4) under I-frames, the stronger repetition
 // code under control frames), otherwise a perfect channel (empty specs).
-// This is the single home of the per-frame-class FEC defaults the CLIs
-// used to hardcode separately.
+// lamsweep's -param pf and -param ber map each swept value through it, so
+// the per-frame-class FEC defaults live here once.
 func LegacySpecs(ber, pf, pc float64) (imodel, cmodel string) {
 	switch {
 	case pf >= 0:
@@ -293,6 +293,9 @@ func LegacySpecs(ber, pf, pc float64) (imodel, cmodel string) {
 	}
 	return "", ""
 }
+
+// inUnit reports whether x is a probability; NaN is not.
+func inUnit(x float64) bool { return x >= 0 && x <= 1 }
 
 // The in-tree models. Stateless values (Perfect, FixedProb) could be
 // shared, but the factories return fresh instances uniformly so no model
@@ -310,7 +313,7 @@ func init() {
 		Usage: "fixed:p=",
 		Build: func(p *Params) (func() ErrorModel, error) {
 			prob := p.RequiredFloat("p")
-			if p.err == nil && (prob < 0 || prob > 1) {
+			if p.err == nil && !inUnit(prob) {
 				return nil, fmt.Errorf("fixed: p=%g out of [0,1]", prob)
 			}
 			return func() ErrorModel { return FixedProb{P: prob} }, nil
@@ -322,7 +325,7 @@ func init() {
 		Build: func(p *Params) (func() ErrorModel, error) {
 			ber := p.RequiredFloat("ber")
 			scheme := p.Scheme("fec", fec.Uncoded)
-			if p.err == nil && (ber < 0 || ber > 1) {
+			if p.err == nil && !inUnit(ber) {
 				return nil, fmt.Errorf("bsc: ber=%g out of [0,1]", ber)
 			}
 			return func() ErrorModel { return &BSC{BER: ber, Scheme: scheme} }, nil
@@ -340,6 +343,9 @@ func init() {
 			scheme := p.Scheme("fec", fec.Uncoded)
 			if p.err == nil && (mgood <= 0 || mbad <= 0) {
 				return nil, fmt.Errorf("ge: sojourns mgood/mbad must be positive")
+			}
+			if p.err == nil && (!inUnit(gber) || !inUnit(bber)) {
+				return nil, fmt.Errorf("ge: gber=%g, bber=%g not both in [0,1]", gber, bber)
 			}
 			return func() ErrorModel {
 				return NewGilbertElliott(gber, bber, mgood, mbad, scheme)
@@ -360,6 +366,9 @@ func init() {
 			}
 			if p.err == nil && (length < 0 || length > period) {
 				return nil, fmt.Errorf("burst: len=%v out of [0, period]", length)
+			}
+			if p.err == nil && !inUnit(ber) {
+				return nil, fmt.Errorf("burst: ber=%g out of [0,1]", ber)
 			}
 			return func() ErrorModel {
 				return &BurstTrain{Period: period, BurstLen: length, Offset: offset,

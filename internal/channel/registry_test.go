@@ -39,39 +39,44 @@ func TestParseModelValidSpecs(t *testing.T) {
 	}
 }
 
-// TestParseModelRejectsMalformedSpecs is the fuzz-style rejection table: a
-// spec the parser merely shrugs at is a run measuring the wrong channel, so
-// every malformed shape here must be a hard error mentioning the problem.
+// malformedSpecs is the rejection table: a spec the parser merely shrugs
+// at is a run measuring the wrong channel, so every malformed shape here
+// must be a hard error mentioning the problem. FuzzParseModel seeds its
+// corpus from it.
+var malformedSpecs = []struct {
+	spec    string
+	errLike string // substring the error must carry
+}{
+	{"", "empty model spec"},
+	{"   ", "empty model spec"},
+	{"nosuch", "unknown model kind"},
+	{"nosuch:p=1", "unknown model kind"},
+	{"fixed", "missing required parameter"},
+	{"fixed:p", "lacks '='"},
+	{"fixed:p=0.5,p=0.6", "duplicate parameter"},
+	{"fixed:p=banana", `bad p "banana"`},
+	{"fixed:p=1.5", "out of [0,1]"},
+	{"fixed:p=-0.1", "out of [0,1]"},
+	{"fixed:p=NaN", "out of [0,1]"},
+	{"fixed:p=0.5,q=1", `unknown parameter "q"`},
+	{"bsc", "missing required parameter"},
+	{"bsc:ber=2", "out of [0,1]"},
+	{"bsc:ber=1e-5,fec=turbo", "unknown scheme"},
+	{"ge:gber=1e-7", "missing required parameter"},
+	{"ge:gber=1e-7,bber=2e-3,mgood=40ms,mbad=oops", `bad mbad "oops"`},
+	{"ge:gber=1e-7,bber=2e-3,mgood=0s,mbad=4ms", "must be positive"},
+	{"ge:gber=1e-7,bber=1.5,mgood=40ms,mbad=4ms", "not both in [0,1]"},
+	{"burst:period=100ms", "missing required parameter"},
+	{"burst:period=0s,len=0s", "period must be positive"},
+	{"burst:period=10ms,len=20ms", "out of [0, period]"},
+	{"burst:period=10ms,len=5ms,ber=-1", "out of [0,1]"},
+	{"trace", "missing required parameter"},
+	{"trace:file=/nonexistent/no.trc", "no such file"},
+	{"trace:file=x,policy=sometimes", "bad policy"},
+}
+
 func TestParseModelRejectsMalformedSpecs(t *testing.T) {
-	cases := []struct {
-		spec    string
-		errLike string // substring the error must carry
-	}{
-		{"", "empty model spec"},
-		{"   ", "empty model spec"},
-		{"nosuch", "unknown model kind"},
-		{"nosuch:p=1", "unknown model kind"},
-		{"fixed", "missing required parameter"},
-		{"fixed:p", "lacks '='"},
-		{"fixed:p=0.5,p=0.6", "duplicate parameter"},
-		{"fixed:p=banana", `bad p "banana"`},
-		{"fixed:p=1.5", "out of [0,1]"},
-		{"fixed:p=-0.1", "out of [0,1]"},
-		{"fixed:p=0.5,q=1", `unknown parameter "q"`},
-		{"bsc", "missing required parameter"},
-		{"bsc:ber=2", "out of [0,1]"},
-		{"bsc:ber=1e-5,fec=turbo", "unknown scheme"},
-		{"ge:gber=1e-7", "missing required parameter"},
-		{"ge:gber=1e-7,bber=2e-3,mgood=40ms,mbad=oops", `bad mbad "oops"`},
-		{"ge:gber=1e-7,bber=2e-3,mgood=0s,mbad=4ms", "must be positive"},
-		{"burst:period=100ms", "missing required parameter"},
-		{"burst:period=0s,len=0s", "period must be positive"},
-		{"burst:period=10ms,len=20ms", "out of [0, period]"},
-		{"trace", "missing required parameter"},
-		{"trace:file=/nonexistent/no.trc", "no such file"},
-		{"trace:file=x,policy=sometimes", "bad policy"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedSpecs {
 		_, err := ParseModel(tc.spec)
 		if err == nil {
 			t.Errorf("ParseModel(%q): want error containing %q, got nil", tc.spec, tc.errLike)

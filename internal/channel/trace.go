@@ -1,8 +1,7 @@
 // Trace-driven channels: record the per-frame corrupt/clean decisions of
 // any ErrorModel into a compact binary trace, replay them deterministically
 // against a different protocol (Kuhn et al., arXiv 1205.3831: link-layer
-// ARQ results are unrealistic without physical-layer error traces), and
-// import external two-column (time, error) traces into the same machinery.
+// ARQ results are unrealistic without physical-layer error traces).
 //
 // Ownership rules:
 //
@@ -21,10 +20,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -49,9 +47,8 @@ const (
 	// ignored — the i-th frame of the replayed run gets the i-th recorded
 	// fate.
 	FrameTrace TraceMode = iota
-	// SpanTrace records time intervals of channel state (what
-	// ImportTwoColumn builds); replay corrupts every frame whose wire
-	// occupancy overlaps an errored span.
+	// SpanTrace records time intervals of channel state; replay corrupts
+	// every frame whose wire occupancy overlaps an errored span.
 	SpanTrace
 )
 
@@ -91,14 +88,6 @@ func (s *TraceSet) Stream(name string) *Trace {
 // Get returns the named trace or nil. Read-only: safe under concurrent
 // replay.
 func (s *TraceSet) Get(name string) *Trace { return s.byName[name] }
-
-// Add inserts a built trace (e.g. an import), replacing any same-named one.
-func (s *TraceSet) Add(tr *Trace) {
-	if _, ok := s.byName[tr.Name]; !ok {
-		s.order = append(s.order, tr.Name)
-	}
-	s.byName[tr.Name] = tr
-}
 
 // Names returns the stream names in creation order (the file order).
 func (s *TraceSet) Names() []string {
@@ -339,20 +328,24 @@ const maxTracePrealloc = 4096
 
 // ReadTraceSet parses a serialized set. Counts and lengths in the input are
 // untrusted: one that claims more than the remaining bytes can encode is
-// rejected before anything is allocated for it.
+// rejected before anything is allocated for it. A stream name may appear
+// only once.
 func ReadTraceSet(r io.Reader) (*TraceSet, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("channel: trace read: %v", err)
-	}
-	br := bytes.NewReader(data)
+	// The magic is checked before anything is buffered, so a stream that
+	// is not a trace (an endless device, a huge unrelated file) is turned
+	// away after 8 bytes instead of read whole.
 	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("channel: trace header: %v", err)
 	}
 	if string(magic) != traceMagic {
 		return nil, fmt.Errorf("channel: not a trace file (magic %q)", magic)
 	}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("channel: trace read: %v", err)
+	}
+	br := bytes.NewReader(data)
 	nstreams, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("channel: trace stream count: %v", err)
@@ -387,38 +380,52 @@ func ReadTraceSet(r io.Reader) (*TraceSet, error) {
 		if nrecs > uint64(br.Len())/minTraceRecBytes {
 			return nil, fmt.Errorf("channel: trace stream %q: record count %d exceeds what %d remaining bytes hold", name, nrecs, br.Len())
 		}
+		if set.Get(string(name)) != nil {
+			return nil, fmt.Errorf("channel: trace stream %q appears twice", name)
+		}
 		tr := set.Stream(string(name))
 		tr.Mode = TraceMode(mode)
 		tr.Recs = make([]TraceRec, 0, min(nrecs, maxTracePrealloc))
 		var prev sim.Time
 		for ri := uint64(0); ri < nrecs; ri++ {
-			delta, err := binary.ReadUvarint(br)
-			if err == nil {
-				var dur, bits uint64
-				dur, err = binary.ReadUvarint(br)
-				if err == nil {
-					bits, err = binary.ReadUvarint(br)
-					if err == nil {
-						var flags byte
-						flags, err = br.ReadByte()
-						if err == nil {
-							start := prev.Add(sim.Duration(delta))
-							tr.Recs = append(tr.Recs, TraceRec{
-								Start:   start,
-								End:     start.Add(sim.Duration(dur)),
-								Bits:    int(bits),
-								Corrupt: flags&1 != 0,
-							})
-							prev = start
-							continue
-						}
-					}
-				}
+			rec, err := readTraceRec(br, prev)
+			if err != nil {
+				return nil, fmt.Errorf("channel: trace stream %q record %d: %v", name, ri, err)
 			}
-			return nil, fmt.Errorf("channel: trace stream %q record %d: %v", name, ri, err)
+			tr.Recs = append(tr.Recs, rec)
+			prev = rec.Start
 		}
 	}
 	return set, nil
+}
+
+// readTraceRec decodes one record of a stream whose previous record started
+// at prev. A delta, duration or bit count that overflows its Go type is
+// rejected, so every stream ReadTraceSet returns is one Encode accepts.
+func readTraceRec(br *bytes.Reader, prev sim.Time) (TraceRec, error) {
+	var v [3]uint64 // start delta, duration, bits
+	for i := range v {
+		var err error
+		if v[i], err = binary.ReadUvarint(br); err != nil {
+			return TraceRec{}, err
+		}
+	}
+	flags, err := br.ReadByte()
+	if err != nil {
+		return TraceRec{}, err
+	}
+	delta, dur, bits := v[0], v[1], v[2]
+	room := uint64(math.MaxInt64 - prev)
+	if delta > room || dur > room-delta || bits > math.MaxInt {
+		return TraceRec{}, fmt.Errorf("time or bit count out of range")
+	}
+	start := prev.Add(sim.Duration(delta))
+	return TraceRec{
+		Start:   start,
+		End:     start.Add(sim.Duration(dur)),
+		Bits:    int(bits),
+		Corrupt: flags&1 != 0,
+	}, nil
 }
 
 // ReadTraceFile parses the trace file at path.
@@ -429,62 +436,4 @@ func ReadTraceFile(path string) (*TraceSet, error) {
 	}
 	defer f.Close()
 	return ReadTraceSet(f)
-}
-
-// ImportTwoColumn parses an external error trace in the two-column form
-// physical-layer measurement campaigns publish (Kuhn et al.,
-// arXiv 1205.3831): one line per channel-state change,
-//
-//	<time-seconds> <error-flag 0|1>
-//
-// with '#' comments and blank lines ignored. Each line opens a state that
-// lasts until the next line's timestamp; the final line terminates the
-// trace (its flag spans nothing). Timestamps must be non-negative and
-// strictly increasing. The result is a spans-mode trace replayable with
-// NewReplay or the "trace:" model spec.
-func ImportTwoColumn(r io.Reader, name string) (*Trace, error) {
-	tr := &Trace{Name: name, Mode: SpanTrace}
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	havePrev := false
-	var prevAt sim.Time
-	var prevErr bool
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("channel: trace line %d: want \"<seconds> <0|1>\", got %q", lineNo, line)
-		}
-		secs, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || secs < 0 {
-			return nil, fmt.Errorf("channel: trace line %d: bad time %q", lineNo, fields[0])
-		}
-		at := sim.Time(secs * float64(sim.Second))
-		var flag bool
-		switch fields[1] {
-		case "0":
-		case "1":
-			flag = true
-		default:
-			return nil, fmt.Errorf("channel: trace line %d: bad error flag %q", lineNo, fields[1])
-		}
-		if havePrev {
-			if at <= prevAt {
-				return nil, fmt.Errorf("channel: trace line %d: time not increasing", lineNo)
-			}
-			tr.Recs = append(tr.Recs, TraceRec{Start: prevAt, End: at, Corrupt: prevErr})
-		}
-		havePrev, prevAt, prevErr = true, at, flag
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(tr.Recs) == 0 {
-		return nil, fmt.Errorf("channel: trace %q: fewer than two data lines", name)
-	}
-	return tr, nil
 }

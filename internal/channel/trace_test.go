@@ -152,6 +152,24 @@ func TestEncodeRejectsDisorderedStream(t *testing.T) {
 	}
 }
 
+// endlessZeros reads as an infinite stream of zero bytes, like /dev/zero.
+type endlessZeros struct{}
+
+func (endlessZeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestReadTraceSetRejectsEndlessInput pins the magic-first read: a stream
+// that is not a trace is turned away after its first 8 bytes. Reading the
+// input whole before checking the magic ran out of memory on /dev/zero.
+func TestReadTraceSetRejectsEndlessInput(t *testing.T) {
+	_, err := ReadTraceSet(endlessZeros{})
+	if err == nil || !strings.Contains(err.Error(), "not a trace file") {
+		t.Fatalf("want a not-a-trace error, got %v", err)
+	}
+}
+
 func TestReadTraceSetRejectsGarbage(t *testing.T) {
 	for _, in := range []string{"", "NOTATRACE", "LAMSTRC1", "LAMSTRC9\x00"} {
 		if _, err := ReadTraceSet(strings.NewReader(in)); err == nil {
@@ -160,17 +178,25 @@ func TestReadTraceSetRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestReadTraceSetRejectsImpossibleCounts feeds headers whose counts and
-// lengths claim far more than the input holds. The first case is a 21-byte
-// file declaring one stream of 2^40 records: sized from that count, the
-// record slice would be 32 TiB and the process would die out of memory.
+// impossibleTraces are headers whose counts, lengths or values no valid
+// trace holds. The first case is a 21-byte file declaring one stream of
+// 2^40 records: sized from that count, the record slice would be 32 TiB and
+// the process would die out of memory.
+var impossibleTraces = []struct{ name, in string }{
+	{"record count 2^40", "LAMSTRC1\x01\x04ab/i\x00\x80\x80\x80\x80\x80\x20"},
+	{"record count one past the input", "LAMSTRC1\x01\x04ab/i\x00\x02\x00\x00\x00\x00"},
+	{"name length 2^40", "LAMSTRC1\x01\x80\x80\x80\x80\x80\x20ab/i"},
+	{"stream count 2^40", "LAMSTRC1\x80\x80\x80\x80\x80\x20\x04ab/i\x00\x00"},
+	{"start delta past int64", "LAMSTRC1\x01\x04ab/i\x00\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01\x00\x00\x00"},
+	{"duration past int64", "LAMSTRC1\x01\x04ab/i\x00\x01\x00\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01\x00\x00"},
+	{"duplicate stream", "LAMSTRC1\x02\x01a\x00\x00\x01a\x00\x00"},
+}
+
+// TestReadTraceSetRejectsImpossibleCounts checks every impossibleTraces
+// input is an error, and that the largest count an input can hold still
+// decodes.
 func TestReadTraceSetRejectsImpossibleCounts(t *testing.T) {
-	for _, tc := range []struct{ name, in string }{
-		{"record count 2^40", "LAMSTRC1\x01\x04ab/i\x00\x80\x80\x80\x80\x80\x20"},
-		{"record count one past the input", "LAMSTRC1\x01\x04ab/i\x00\x02\x00\x00\x00\x00"},
-		{"name length 2^40", "LAMSTRC1\x01\x80\x80\x80\x80\x80\x20ab/i"},
-		{"stream count 2^40", "LAMSTRC1\x80\x80\x80\x80\x80\x20\x04ab/i\x00\x00"},
-	} {
+	for _, tc := range impossibleTraces {
 		if _, err := ReadTraceSet(strings.NewReader(tc.in)); err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
@@ -185,33 +211,17 @@ func TestReadTraceSetRejectsImpossibleCounts(t *testing.T) {
 	}
 }
 
-func TestImportTwoColumn(t *testing.T) {
-	in := `# measured link trace
-0.0 0
-1.5 1
-
-2.0 0
-3.0 0
-`
-	tr, err := ImportTwoColumn(strings.NewReader(in), "ext")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Mode != SpanTrace {
-		t.Fatal("imported trace should be spans-mode")
-	}
-	want := []TraceRec{
-		{Start: 0, End: sim.Time(1500 * sim.Millisecond), Corrupt: false},
-		{Start: sim.Time(1500 * sim.Millisecond), End: sim.Time(2000 * sim.Millisecond), Corrupt: true},
-		{Start: sim.Time(2000 * sim.Millisecond), End: sim.Time(3000 * sim.Millisecond), Corrupt: false},
-	}
-	if !reflect.DeepEqual(tr.Recs, want) {
-		t.Fatalf("recs = %+v, want %+v", tr.Recs, want)
-	}
-
-	// Span replay corrupts exactly the frames overlapping the errored span.
-	rep := NewReplay(tr, TruncateReplay)
+// TestReplaySpans pins spans-mode replay: a frame is corrupted exactly when
+// its wire occupancy overlaps an errored span, under both end-of-trace
+// policies.
+func TestReplaySpans(t *testing.T) {
 	sec := sim.Time(sim.Second)
+	tr := &Trace{Name: "spans", Mode: SpanTrace, Recs: []TraceRec{
+		{Start: 0, End: sim.Time(1500 * sim.Millisecond), Corrupt: false},
+		{Start: sim.Time(1500 * sim.Millisecond), End: 2 * sec, Corrupt: true},
+		{Start: 2 * sec, End: 3 * sec, Corrupt: false},
+	}}
+	rep := NewReplay(tr, TruncateReplay)
 	if rep.Corrupt(nil, 0, sec, 8) {
 		t.Fatal("clean span corrupted a frame")
 	}
@@ -227,35 +237,23 @@ func TestImportTwoColumn(t *testing.T) {
 	if !looped.Corrupt(nil, sim.Time(4600*sim.Millisecond), sim.Time(4700*sim.Millisecond), 8) {
 		t.Fatal("loop policy missed the wrapped errored span")
 	}
-
-	for _, bad := range []string{
-		"",                 // no data
-		"1.0 0",            // single line terminates nothing
-		"0.0 2\n1.0 0",     // bad flag
-		"x 0\n1.0 0",       // bad time
-		"1.0 0\n0.5 1",     // time not increasing
-		"1.0 0\n1.0 1",     // time not strictly increasing
-		"0.0 0 extra\n1 0", // wrong column count
-		"-1.0 0\n1.0 0",    // negative time
-	} {
-		if _, err := ImportTwoColumn(strings.NewReader(bad), "bad"); err == nil {
-			t.Errorf("ImportTwoColumn(%q): want error", bad)
-		}
-	}
 }
 
 // TestGESplitClockDeterminism pins satellite 3 of the trace work: a
 // stateful Gilbert-Elliott model's sojourn bookkeeping across frame
 // boundaries must make identical decisions whether its pipe lives on one
-// scheduler (NewLink) or has its receive side on another shard's clock
+// scheduler (NewAsymmetricLink) or has its receive side on another shard's clock
 // (NewSplitLink + SetRemote + DeliverInbound). The model is only consulted
 // at Send time on the transmit clock, so shards-1-vs-8 runs stay
 // deterministic with stateful models.
 func TestGESplitClockDeterminism(t *testing.T) {
-	cfg := PipeConfig{
-		RateBps:    1e8,
-		Delay:      ConstantDelay(3 * sim.Millisecond),
-		IModelSpec: "ge:gber=1e-6,bber=8e-2,mgood=2ms,mbad=1ms",
+	ge := MustParseModel("ge:gber=1e-6,bber=8e-2,mgood=2ms,mbad=1ms")
+	cfg := func() PipeConfig {
+		return PipeConfig{
+			RateBps: 1e8,
+			Delay:   ConstantDelay(3 * sim.Millisecond),
+			IModel:  ge.New(),
+		}
 	}
 	const frames = 300
 
@@ -276,7 +274,7 @@ func TestGESplitClockDeterminism(t *testing.T) {
 
 	// Reference: both ends on one scheduler.
 	localSched := sim.NewScheduler()
-	local := NewLink(localSched, cfg, sim.NewRNG(42))
+	local := NewAsymmetricLink(localSched, cfg(), cfg(), sim.NewRNG(42))
 	localGot := collect(local.AtoB)
 	send(localSched, local.AtoB)
 	localSched.Run()
@@ -284,7 +282,7 @@ func TestGESplitClockDeterminism(t *testing.T) {
 	// Split: transmit clock and receive clock are different schedulers,
 	// frames crossing via SetRemote/DeliverInbound like the shard engine.
 	sendSched, recvSched := sim.NewScheduler(), sim.NewScheduler()
-	split := NewSplitLink(sendSched, recvSched, cfg, sim.NewRNG(42))
+	split := NewSplitLink(sendSched, recvSched, cfg(), cfg(), sim.NewRNG(42))
 	splitGot := collect(split.AtoB)
 	split.AtoB.SetRemote(func(at sim.Time, f *frame.Frame) {
 		recvSched.Schedule(at, func() { split.AtoB.DeliverInbound(at, f) })

@@ -54,9 +54,6 @@ func NewReceiver(sched *sim.Scheduler, wire arq.Wire, cfg Config, m *arq.Metrics
 // Start is a no-op: HDLC receivers are purely reactive.
 func (r *Receiver) Start() {}
 
-// RecvBase exposes N(R) for tests.
-func (r *Receiver) RecvBase() uint32 { return r.recvBase }
-
 // Held returns the receive-buffer occupancy (out-of-order frames).
 func (r *Receiver) Held() int { return len(r.held) }
 

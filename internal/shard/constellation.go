@@ -54,19 +54,19 @@ type Config struct {
 	// OfferInterval spaces a flow's consecutive datagrams.
 	OfferInterval sim.Duration
 
-	// RateBps is the crosslink wire rate; IErrProb and CErrProb are the
-	// per-frame corruption probabilities for information and control
-	// frames.
-	RateBps            float64
-	IErrProb, CErrProb float64
-	// IModelSpec and CModelSpec, when set, name the per-link error models
-	// by registry spec (channel.ParseModel; "ge:...", "trace:file=...")
-	// and take precedence over IErrProb/CErrProb. Every adjacency pipe
-	// instantiates a FRESH model from its spec inside channel.NewPipe, and
-	// each pipe's RNG stream is keyed by adjacency index, not by shard —
-	// so stateful models (Gilbert-Elliott sojourns, replay cursors) stay
+	// RateBps is the crosslink wire rate.
+	RateBps float64
+	// IModelSpec and CModelSpec name the per-link error models for
+	// information and control frames by registry spec (channel.ParseModel;
+	// "ge:...", "trace:file=..."). A frame class without a spec gets a
+	// fixed per-frame corruption probability from IErrProb/CErrProb when
+	// that is above 0, else a perfect channel. Build parses each class's
+	// model once and gives every adjacency pipe its own instance, and each
+	// pipe's RNG stream is keyed by adjacency index, not by shard — so
+	// stateful models (Gilbert-Elliott sojourns, replay cursors) stay
 	// bit-identical at every shard count.
 	IModelSpec, CModelSpec string
+	IErrProb, CErrProb     float64
 
 	// Horizon bounds simulated time. Unless RunToHorizon is set, the run
 	// stops early once every routable flow has delivered everything it
@@ -130,7 +130,8 @@ func DefaultConfig(w orbit.Walker) Config {
 	}
 }
 
-// Validate reports the first configuration error.
+// Validate reports the first configuration error. The error-model specs
+// are parsed (once) by Build, which reports a malformed one.
 func (c Config) Validate() error {
 	if err := c.Walker.Validate(); err != nil {
 		return err
@@ -157,15 +158,27 @@ func (c Config) Validate() error {
 	if c.RateBps <= 0 {
 		return fmt.Errorf("shard: rate must be positive")
 	}
-	for _, spec := range []string{c.IModelSpec, c.CModelSpec} {
-		if spec == "" {
-			continue
-		}
-		if _, err := channel.ParseModel(spec); err != nil {
-			return err
-		}
-	}
 	return nil
+}
+
+// models resolves one error model per frame class: the spec when set, else
+// fixed:p=<ErrProb> when that is above 0, else a perfect channel.
+func (c Config) models() (im, cm channel.Model, err error) {
+	resolve := func(spec string, p float64) (channel.Model, error) {
+		switch {
+		case spec != "":
+		case p > 0:
+			spec = fmt.Sprintf("fixed:p=%g", p)
+		default:
+			spec = "perfect"
+		}
+		return channel.ParseModel(spec)
+	}
+	if im, err = resolve(c.IModelSpec, c.IErrProb); err != nil {
+		return
+	}
+	cm, err = resolve(c.CModelSpec, c.CErrProb)
+	return
 }
 
 // Report is the outcome of one constellation run. Every field except
@@ -441,6 +454,10 @@ func Build(cfg Config) (*Constellation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	im, cm, err := cfg.models()
+	if err != nil {
+		return nil, err
+	}
 	w := cfg.Walker
 	n := w.Total()
 	orbits := w.Orbits()
@@ -476,25 +493,17 @@ func Build(cfg Config) (*Constellation, error) {
 	// and engine round trips are all keyed by adjacency index, so they are
 	// identical at every K.
 	sessions := make([]session, 0, 2*len(adjs))
-	pipeCfg := channel.PipeConfig{
-		RateBps:    cfg.RateBps,
-		IModelSpec: cfg.IModelSpec,
-		CModelSpec: cfg.CModelSpec,
-	}
-	if pipeCfg.IModelSpec == "" && cfg.IErrProb > 0 {
-		pipeCfg.IModel = channel.FixedProb{P: cfg.IErrProb}
-	}
-	if pipeCfg.CModelSpec == "" && cfg.CErrProb > 0 {
-		pipeCfg.CModel = channel.FixedProb{P: cfg.CErrProb}
-	}
 	for ai := range adjs {
 		a := &adjs[ai]
 		linkEng, err := arq.DefaultEngine(cfg.Proto, 2*a.maxDelay)
 		if err != nil {
 			return nil, err
 		}
-		pc := pipeCfg
-		pc.Delay = channel.OrbitDelay(a.geom, 0)
+		delay := channel.OrbitDelay(a.geom, 0)
+		pipe := func() channel.PipeConfig {
+			return channel.PipeConfig{RateBps: cfg.RateBps, Delay: delay,
+				IModel: im.New(), CModel: cm.New()}
+		}
 		for dir := 0; dir < 2; dir++ {
 			src, dst := a.u, a.v
 			if dir == 1 {
@@ -503,7 +512,7 @@ func Build(cfg Config) (*Constellation, error) {
 			si := 2*ai + dir
 			rng := sim.NewRNG(sim.DeriveSeed(cfg.Seed, si))
 			ss, ds := shardOf(src), shardOf(dst)
-			link := channel.NewSplitLink(ss.Scheduler(), ds.Scheduler(), pc, rng)
+			link := channel.NewSplitLink(ss.Scheduler(), ds.Scheduler(), pipe(), pipe(), rng)
 			pair := nodes[src].AttachSplit(nodes[dst], link, linkEng)
 			eng.Wire(ss, ds, link.AtoB, uint32(2*si))
 			eng.Wire(ds, ss, link.BtoA, uint32(2*si+1))

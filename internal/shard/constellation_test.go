@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/channel"
 	_ "repro/internal/engines"
 	"repro/internal/sim"
 )
@@ -105,4 +108,59 @@ func TestWalkerGridValidate(t *testing.T) {
 		}
 	}()
 	WalkerGrid(65)
+}
+
+// TestTraceSpecParsedOnce pins that Build parses each error-model spec once
+// and gives every adjacency pipe its own instance. Resolving the spec per
+// pipe re-read and re-decoded the trace file 2,048 times at 256
+// satellites, so Build allocated in proportion to pipes × trace size.
+func TestTraceSpecParsedOnce(t *testing.T) {
+	set := channel.NewTraceSet()
+	rec := channel.NewRecorder(channel.MustParseModel("ge:gber=1e-6,bber=8e-2,mgood=2ms,mbad=1ms").New(), set.Stream("ab/i"))
+	rng := sim.NewRNG(5)
+	for i := 0; i < 4000; i++ {
+		at := sim.Time(i) * sim.Time(100*sim.Microsecond)
+		rec.Corrupt(rng, at, at+sim.Time(30*sim.Microsecond), 8000)
+	}
+	path := filepath.Join(t.TempDir(), "ge.trc")
+	if err := set.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := DefaultConfig(WalkerGrid(256))
+	cfg.Flows = 16
+	cfg.DatagramsPerFlow = 10
+	cfg.Horizon = 2 * sim.Second
+	buildAlloc := func(spec string) uint64 {
+		c := cfg
+		c.IModelSpec = spec
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Build(c); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	traceSpec := "trace:file=" + path + ",stream=ab/i"
+	buildAlloc("fixed:p=0.01") // warm-up: one-time package state
+	fixed := buildAlloc("fixed:p=0.01")
+	trace := buildAlloc(traceSpec)
+	if trace > 2*fixed {
+		t.Fatalf("Build allocated %d B with a trace spec, %d B with fixed:p=0.01; want at most 2x", trace, fixed)
+	}
+
+	cfg.IModelSpec = traceSpec
+	var renders [2]string
+	for i, shards := range []int{1, 2} {
+		cfg.Shards = shards
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renders[i] = r.Render()
+	}
+	if renders[0] != renders[1] {
+		t.Fatalf("trace-driven report differs across shard counts:\n--- shards=1 ---\n%s\n--- shards=2 ---\n%s", renders[0], renders[1])
+	}
 }

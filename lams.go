@@ -105,13 +105,6 @@ type LinkParams struct {
 	BER float64
 	// Burst, when non-nil, adds a deterministic burst process on top.
 	Burst *channel.BurstTrain
-	// IModelSpec and CModelSpec, when non-empty, select the per-frame-class
-	// error models from the channel registry (grammar: kind[:k=v,...], see
-	// channel.SpecGrammar). They take precedence over BER/Burst; a
-	// malformed spec panics in NewLink, so validate user input with
-	// channel.ParseModel first.
-	IModelSpec string
-	CModelSpec string
 }
 
 // delayFn builds the propagation model.
@@ -125,13 +118,10 @@ func (p LinkParams) delayFn() channel.DelayFn {
 // OneWay returns the (initial) one-way propagation delay.
 func (p LinkParams) OneWay() time.Duration { return p.delayFn()(0) }
 
-// models builds the per-frame-class error models. Registry specs win;
-// the BER/Burst shorthands cover the paper's standard FEC split
-// (Hamming(7,4) on I-frames, repetition-3 on control frames).
+// models builds the per-frame-class error models with the paper's
+// standard FEC split (Hamming(7,4) on I-frames, repetition-3 on control
+// frames).
 func (p LinkParams) models() (iModel, cModel channel.ErrorModel) {
-	if p.IModelSpec != "" || p.CModelSpec != "" {
-		return specOrPerfect(p.IModelSpec), specOrPerfect(p.CModelSpec)
-	}
 	if p.Burst != nil {
 		bi, bc := *p.Burst, *p.Burst
 		bi.BaseBER, bi.Scheme = p.BER, fec.Hamming74
@@ -143,15 +133,6 @@ func (p LinkParams) models() (iModel, cModel channel.ErrorModel) {
 	}
 	return &channel.BSC{BER: p.BER, Scheme: fec.Hamming74},
 		&channel.BSC{BER: p.BER, Scheme: fec.Repetition3}
-}
-
-// specOrPerfect instantiates a registry spec, treating the empty string as
-// a perfect channel so a caller can set just one direction's model.
-func specOrPerfect(spec string) channel.ErrorModel {
-	if spec == "" {
-		return channel.Perfect{}
-	}
-	return channel.MustParseModel(spec).New()
 }
 
 // NewLink materializes the link in this simulation.
