@@ -131,18 +131,3 @@ cover:
 	go test -coverprofile=coverage.out ./...
 	go tool cover -func=coverage.out > coverage.txt
 	@tail -1 coverage.txt
-
-# Micro-benchmarks for the hot paths the allocation diet targets, plus the
-# constellation-scale shard sweep. The combined output lands in
-# BENCH_PR8.json (via cmd/benchjson) as the machine-readable snapshot the
-# perf tables in EXPERIMENTS.md cite; BENCH_PR3.json (pre-arena) and
-# BENCH_PR6.json (pre-shard) are frozen baselines and are never rewritten.
-.PHONY: bench
-bench:
-	{ go test ./internal/frame -run xxx -bench 'BenchmarkEncodeI|BenchmarkDecode' -benchmem; \
-	  go test ./internal/crc -run xxx -bench . -benchmem; \
-	  go test ./internal/sim -run xxx -bench 'BenchmarkScheduler|BenchmarkTimer' -benchmem; \
-	  go test ./internal/channel -run xxx -bench BenchmarkPipeSendDeliver -benchmem; \
-	  go test ./internal/shard -run xxx -bench BenchmarkConstellation -benchtime 1x -benchmem; \
-	  go test . -run xxx -bench 'BenchmarkE4|BenchmarkLAMSTransfer' -benchtime 1x -benchmem; } \
-	| go run ./cmd/benchjson -o BENCH_PR8.json

@@ -10,6 +10,7 @@ package lams
 import (
 	"testing"
 
+	"repro/internal/arq"
 	"repro/internal/bench"
 	"repro/internal/sim"
 )
@@ -121,8 +122,7 @@ func BenchmarkFacadeSetup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSimulation(uint64(i))
 		link := s.NewLink(lp)
-		pair := s.NewLAMSPair(link, DefaultsFor(lp), nil, nil)
-		_ = pair
+		s.NewPair(arq.MustEngine("lams", DefaultsFor(lp)), link, nil, nil)
 		s.RunFor(sim.Millisecond)
 	}
 }

@@ -15,10 +15,22 @@ import (
 
 // --- Spec grammar -----------------------------------------------------------
 
+// Accepted schedules the grammar tests pin; they also seed FuzzFaultSpec.
+const (
+	grammarSchedule = "half@2s+500ms:dir=ab; outage@1s+100ms; storm@4s+200ms:period=2ms,naks=4,serial=7,enforced=true; " +
+		"burst@5s+1s:len=2ms,gap=8ms,dir=ba; skew@6s:factor=2.5; handover@8s"
+	corruptionSchedule = "scramble@100ms+400ms; ghost@100ms+400ms:period=2ms,dir=ab; reorder@100ms+400ms:jitter=2ms"
+)
+
+// edgeSchedules are legal corner cases of the overlap rule: half-open
+// windows that merely touch, and same-kind episodes on disjoint directions.
+var edgeSchedules = []string{
+	"ghost@1s+1s; ghost@2s+1s",
+	"reorder@1s+2s:dir=ab; reorder@2s+2s:dir=ba",
+}
+
 func TestParseSpecGrammar(t *testing.T) {
-	spec, err := faults.ParseSpec(
-		"half@2s+500ms:dir=ab; outage@1s+100ms; storm@4s+200ms:period=2ms,naks=4,serial=7,enforced=true; " +
-			"burst@5s+1s:len=2ms,gap=8ms,dir=ba; skew@6s:factor=2.5; handover@8s")
+	spec, err := faults.ParseSpec(grammarSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,34 +69,39 @@ func TestParseSpecGrammar(t *testing.T) {
 	}
 }
 
+// malformedSchedules are fault schedules ParseSpec must reject; they also
+// seed FuzzFaultSpec.
+var malformedSchedules = []string{
+	"nonsense@1s",               // unknown kind
+	"outage",                    // missing @start
+	"outage@-1s",                // negative start
+	"outage@1s+0s",              // non-positive duration
+	"half@1s:dir=both",          // half needs a single direction
+	"half@1s:dir=sideways",      // unknown direction
+	"storm@1s:period=0s",        // non-positive period
+	"storm@1s:naks=-1",          // negative NAK count
+	"skew@1s:factor=0",          // non-positive factor
+	"skew@1s:factor=NaN",        // NaN factor: no round trip, no schedule
+	"skew@1s:factor=+Inf",       // infinite factor
+	"outage@1s:factor=2",        // parameter on wrong kind
+	"burst@1s:len=1ms,gap=oops", // unparsable duration
+	"storm@1s:period",           // parameter without '='
+	"outage@banana",             // unparsable start
+	// Repeated keys and overlapping same-kind episodes are mis-edited
+	// schedules, rejected outright.
+	"storm@1s:period=2ms,period=3ms",       // duplicate parameter key
+	"ghost@1s:dir=ba,dir=ab",               // duplicate key, different values
+	"outage@1s+2s; outage@2s+500ms",        // overlapping same-kind windows
+	"half@1s+2s:dir=ab; half@2s+2s:dir=ab", // overlapping, same direction
+	"ghost@1s+1s; ghost@1500ms+1s:dir=ab",  // dir=both contends with ab
+	"scramble@1s:period=0s",                // non-positive corruption period
+	"reorder@1s:jitter=0s",                 // non-positive reorder jitter
+	"scramble@1s:jitter=1ms",               // parameter on wrong kind
+	"reorder@1s:period=1ms",                // parameter on wrong kind
+}
+
 func TestParseSpecRejects(t *testing.T) {
-	bad := []string{
-		"nonsense@1s",               // unknown kind
-		"outage",                    // missing @start
-		"outage@-1s",                // negative start
-		"outage@1s+0s",              // non-positive duration
-		"half@1s:dir=both",          // half needs a single direction
-		"half@1s:dir=sideways",      // unknown direction
-		"storm@1s:period=0s",        // non-positive period
-		"storm@1s:naks=-1",          // negative NAK count
-		"skew@1s:factor=0",          // non-positive factor
-		"outage@1s:factor=2",        // parameter on wrong kind
-		"burst@1s:len=1ms,gap=oops", // unparsable duration
-		"storm@1s:period",           // parameter without '='
-		"outage@banana",             // unparsable start
-		// Hardening (ISSUE 9): repeated keys and overlapping same-kind
-		// episodes are mis-edited schedules, rejected outright.
-		"storm@1s:period=2ms,period=3ms",       // duplicate parameter key
-		"ghost@1s:dir=ba,dir=ab",               // duplicate key, different values
-		"outage@1s+2s; outage@2s+500ms",        // overlapping same-kind windows
-		"half@1s+2s:dir=ab; half@2s+2s:dir=ab", // overlapping, same direction
-		"ghost@1s+1s; ghost@1500ms+1s:dir=ab",  // dir=both contends with ab
-		"scramble@1s:period=0s",                // non-positive corruption period
-		"reorder@1s:jitter=0s",                 // non-positive reorder jitter
-		"scramble@1s:jitter=1ms",               // parameter on wrong kind
-		"reorder@1s:period=1ms",                // parameter on wrong kind
-	}
-	for _, text := range bad {
+	for _, text := range malformedSchedules {
 		if _, err := faults.ParseSpec(text); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", text)
 		}
@@ -95,8 +112,7 @@ func TestParseSpecRejects(t *testing.T) {
 // and the overlap rule's legitimate edges: half-open windows that merely
 // touch, and same-kind episodes on disjoint directions.
 func TestParseSpecCorruptionGrammar(t *testing.T) {
-	spec, err := faults.ParseSpec(
-		"scramble@100ms+400ms; ghost@100ms+400ms:period=2ms,dir=ab; reorder@100ms+400ms:jitter=2ms")
+	spec, err := faults.ParseSpec(corruptionSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +149,45 @@ func TestParseSpecCorruptionGrammar(t *testing.T) {
 	}
 
 	// Merely-touching windows and direction-disjoint episodes are legal.
-	for _, text := range []string{
-		"ghost@1s+1s; ghost@2s+1s",                   // half-open windows touch, no overlap
-		"reorder@1s+2s:dir=ab; reorder@2s+2s:dir=ba", // same window, opposite beams
-	} {
+	for _, text := range edgeSchedules {
 		if _, err := faults.ParseSpec(text); err != nil {
 			t.Errorf("ParseSpec(%q) rejected: %v", text, err)
 		}
+	}
+}
+
+// FuzzFaultSpec feeds arbitrary text to the schedule parser. ParseSpec must
+// return an error or a spec, never panic, and an accepted spec must print
+// (String) to text that parses back to the same spec.
+func FuzzFaultSpec(f *testing.F) {
+	seeds := append([]string{grammarSchedule, corruptionSchedule}, edgeSchedules...)
+	for _, text := range append(seeds, malformedSchedules...) {
+		f.Add(text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		spec, err := faults.ParseSpec(text)
+		if err != nil {
+			return
+		}
+		again, err := faults.ParseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) accepted, but its String %q is rejected: %v", text, spec.String(), err)
+		}
+		if !reflect.DeepEqual(spec, again) {
+			t.Fatalf("round trip changed the spec:\n%q\n%q", spec.String(), again.String())
+		}
+	})
+}
+
+// TestSkewHugeFactorSaturates: a skew factor whose product with the
+// checkpoint period overflows the clock silences the checkpoint process.
+// Converting the out-of-range product used to arm the next tick at a
+// negative time, and the scheduler panicked.
+func TestSkewHugeFactorSaturates(t *testing.T) {
+	c := matrixConfig(t, "skew@150ms+1ms:factor=1e300", 1)
+	c.CheckInvariants = false
+	if res := bench.Run(c); res.ControlSent > 10000 {
+		t.Fatalf("sent %d control frames under an overflowing skew factor", res.ControlSent)
 	}
 }
 

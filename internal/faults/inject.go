@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"math"
+
 	"repro/internal/arq"
 	"repro/internal/channel"
 	"repro/internal/frame"
@@ -206,9 +208,13 @@ func (inj *Injector) AttachEndpoint(p arq.Pair, basePeriod sim.Duration) {
 			if ev.Kind != Skew {
 				continue
 			}
-			skewed := sim.Duration(float64(basePeriod) * ev.Factor)
-			if skewed <= 0 {
-				skewed = 1
+			// Cap the product at half the clock's range instead of
+			// converting an out-of-range float: the checkpoint process goes
+			// silent (no run reaches the next tick) and arming that tick
+			// cannot overflow.
+			skewed := sim.Duration(math.MaxInt64 / 2)
+			if f := float64(basePeriod) * ev.Factor; f < float64(skewed) {
+				skewed = max(sim.Duration(f), 1)
 			}
 			inj.at(ev.Start, func() { inj.mEvents.Inc(); inj.mSkews.Inc(); rt.SetCheckpointPeriod(skewed) })
 			inj.at(ev.End(), func() { rt.SetCheckpointPeriod(basePeriod) })

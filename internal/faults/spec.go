@@ -21,6 +21,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -434,8 +435,8 @@ func parseEvent(text string) (Event, error) {
 			return ev, fmt.Errorf("faults: event %q: %v", text, err)
 		}
 	}
-	if ev.Kind == Skew && ev.Factor <= 0 {
-		return ev, fmt.Errorf("faults: event %q: factor must be positive", text)
+	if ev.Kind == Skew && !(ev.Factor > 0 && !math.IsInf(ev.Factor, 1)) {
+		return ev, fmt.Errorf("faults: event %q: factor must be positive and finite", text)
 	}
 	return ev, nil
 }

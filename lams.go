@@ -2,34 +2,38 @@
 // discrete-event implementation of the LAMS-DLC ARQ protocol (Ward & Choi,
 // Auburn CSE-91-03 / SIGCOMM 1991) for low-altitude multiple-satellite
 // laser crosslinks, together with the selective-repeat and Go-Back-N HDLC
-// baselines, the link/orbit/FEC substrates they run on, and the analytical
-// model of the paper's Section 4.
+// baselines, the self-stabilizing SS-ARQ engine, the link/orbit/FEC
+// substrates they run on, and the analytical model of the paper's
+// Section 4.
 //
-// The facade wraps the internal packages into a small surface:
+// The facade wraps the internal packages into a small surface. Pairs are
+// built through the engine registry, error models through the channel-model
+// registry, exactly as the CLIs build them:
 //
-//	sim := lams.NewSimulation(42)
-//	link := sim.NewLink(lams.LinkParams{
-//	    RateBps: 300e6, DistanceKm: 4000, BER: 1e-6,
-//	})
-//	pair := sim.NewLAMSPair(link, lams.DefaultsFor(link), deliver, nil)
-//	pair.Sender.Enqueue(...)
-//	sim.RunFor(time.Second)
+//	simu := lams.NewSimulation(42)
+//	lp := lams.LinkParams{RateBps: 300e6, DistanceKm: 4000, BER: 1e-6}
+//	link := simu.NewLink(lp)
+//	eng, _ := arq.DefaultEngine("lams", 2*lp.OneWay())
+//	pair := simu.NewPair(eng, link, deliver, nil)
+//	pair.Enqueue(...)
+//	simu.RunFor(time.Second)
 //
 // Everything below this facade is importable inside the module
 // (internal/...), documented per package: sim (event kernel), frame (wire
-// format), fec, orbit, channel, lamsdlc (the protocol), hdlc (baselines),
-// analysis (closed forms), resequence, node (store-and-forward), workload,
-// bench (experiment harness), live (real-time driver).
+// format), fec, orbit, channel, arq (engine contract and registry),
+// lamsdlc (the protocol), hdlc and ssarq (the other engines), analysis
+// (closed forms), resequence, node (store-and-forward), workload, bench
+// (experiment harness), live (real-time driver).
 package lams
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/arq"
 	"repro/internal/channel"
-	"repro/internal/fec"
-	"repro/internal/hdlc"
+	_ "repro/internal/engines" // every registered engine, by name
 	"repro/internal/lamsdlc"
 	"repro/internal/orbit"
 	"repro/internal/sim"
@@ -43,12 +47,12 @@ type (
 	DeliverFunc = arq.DeliverFunc
 	// FailureFunc is invoked when a sender declares link failure.
 	FailureFunc = arq.FailureFunc
-	// Metrics aggregates per-session measurements.
-	Metrics = arq.Metrics
+	// Engine binds a registered protocol to its configuration.
+	Engine = arq.Engine
+	// Pair is a wired sender/receiver pair running one engine.
+	Pair = arq.Pair
 	// Config parameterizes LAMS-DLC endpoints.
 	Config = lamsdlc.Config
-	// HDLCConfig parameterizes the baseline endpoints.
-	HDLCConfig = hdlc.Config
 	// Link is a simulated full-duplex point-to-point link.
 	Link = channel.Link
 	// Time and Duration are virtual-clock instants and spans.
@@ -74,17 +78,11 @@ func NewSimulation(seed uint64) *Simulation {
 // (custom timers, workload generators).
 func (s *Simulation) Scheduler() *sim.Scheduler { return s.sched }
 
-// RNG exposes the root random stream.
-func (s *Simulation) RNG() *sim.RNG { return s.rng }
-
 // Now returns the current virtual time.
 func (s *Simulation) Now() Time { return s.sched.Now() }
 
 // RunFor advances virtual time by d, executing everything due.
 func (s *Simulation) RunFor(d time.Duration) { s.sched.RunFor(d) }
-
-// Run executes until no events remain.
-func (s *Simulation) Run() { s.sched.Run() }
 
 // LinkParams describes a laser crosslink in physical terms. The FEC layer
 // of the link model (assumption 4) is applied automatically: I-frames ride
@@ -103,7 +101,8 @@ type LinkParams struct {
 	// BER is the post-interleaving channel bit error rate. Zero means a
 	// perfect channel.
 	BER float64
-	// Burst, when non-nil, adds a deterministic burst process on top.
+	// Burst, when non-nil, adds a deterministic burst process on top. Its
+	// BaseBER and Scheme are ignored: BER and the FEC split apply.
 	Burst *channel.BurstTrain
 }
 
@@ -118,31 +117,31 @@ func (p LinkParams) delayFn() channel.DelayFn {
 // OneWay returns the (initial) one-way propagation delay.
 func (p LinkParams) OneWay() time.Duration { return p.delayFn()(0) }
 
-// models builds the per-frame-class error models with the paper's
-// standard FEC split (Hamming(7,4) on I-frames, repetition-3 on control
-// frames).
-func (p LinkParams) models() (iModel, cModel channel.ErrorModel) {
-	if p.Burst != nil {
-		bi, bc := *p.Burst, *p.Burst
-		bi.BaseBER, bi.Scheme = p.BER, fec.Hamming74
-		bc.BaseBER, bc.Scheme = p.BER, fec.Repetition3
-		return &bi, &bc
+// specs returns the I-frame and control-frame model specs: the BER through
+// channel.LegacySpecs' FEC split, or a burst train carrying the same split.
+func (p LinkParams) specs() (imodel, cmodel string) {
+	if b := p.Burst; b != nil {
+		burst := fmt.Sprintf("burst:period=%v,len=%v,offset=%v,ber=%g,fec=",
+			b.Period, b.BurstLen, b.Offset, p.BER)
+		return burst + "hamming74", burst + "rep3"
 	}
-	if p.BER <= 0 {
-		return channel.Perfect{}, channel.Perfect{}
+	imodel, cmodel = channel.LegacySpecs(p.BER, -1, 0)
+	if imodel == "" {
+		return "perfect", "perfect"
 	}
-	return &channel.BSC{BER: p.BER, Scheme: fec.Hamming74},
-		&channel.BSC{BER: p.BER, Scheme: fec.Repetition3}
+	return imodel, cmodel
 }
 
-// NewLink materializes the link in this simulation.
+// NewLink materializes the link in this simulation. It panics on link
+// parameters no model accepts (a BER above 1, a burst longer than its
+// period): that is wiring-time misuse.
 func (s *Simulation) NewLink(p LinkParams) *Link {
-	im, cm := p.models()
+	is, cs := p.specs()
 	return channel.NewLink(s.sched, channel.PipeConfig{
 		RateBps: p.RateBps,
 		Delay:   p.delayFn(),
-		IModel:  im,
-		CModel:  cm,
+		IModel:  channel.MustParseModel(is).New(),
+		CModel:  channel.MustParseModel(cs).New(),
 	}, s.rng.Split())
 }
 
@@ -152,30 +151,13 @@ func DefaultsFor(p LinkParams) Config {
 	return lamsdlc.Defaults(2 * p.OneWay())
 }
 
-// HDLCDefaultsFor returns a baseline configuration for the same link.
-func HDLCDefaultsFor(p LinkParams) HDLCConfig {
-	return hdlc.Defaults(2 * p.OneWay())
-}
-
-// LAMSPair is a wired LAMS-DLC sender/receiver pair.
-type LAMSPair = lamsdlc.Pair
-
-// HDLCPair is a wired baseline pair.
-type HDLCPair = hdlc.Pair
-
-// NewLAMSPair wires a LAMS-DLC session over link (data flows A→B) and
-// starts it.
-func (s *Simulation) NewLAMSPair(link *Link, cfg Config, deliver DeliverFunc, onFailure FailureFunc) *LAMSPair {
-	p := lamsdlc.NewPair(s.sched, link, cfg, deliver, onFailure)
-	p.Start()
-	return p
-}
-
-// NewHDLCPair wires a baseline session over link and starts it. onFailure
-// (may be nil) fires if the sender exhausts its N2 retry count
-// (HDLCConfig.MaxTimeouts), matching NewLAMSPair's signature.
-func (s *Simulation) NewHDLCPair(link *Link, cfg HDLCConfig, deliver DeliverFunc, onFailure FailureFunc) *HDLCPair {
-	p := hdlc.NewPair(s.sched, link, cfg, deliver, onFailure)
+// NewPair wires a session of engine e over link (data flows A→B) and starts
+// it. Any registered engine works: arq.DefaultEngine(name, 2*lp.OneWay())
+// gives its registry defaults for link parameters lp, arq.MustEngine a
+// tuned configuration.
+// onFailure (may be nil) fires if the sender declares the link failed.
+func (s *Simulation) NewPair(e Engine, link *Link, deliver DeliverFunc, onFailure FailureFunc) Pair {
+	p := e.NewPair(s.sched, link, deliver, onFailure)
 	p.Start()
 	return p
 }

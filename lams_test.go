@@ -1,25 +1,38 @@
 package lams
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/arq"
 	"repro/internal/channel"
+	"repro/internal/fec"
 	"repro/internal/orbit"
 	"repro/internal/sim"
 )
+
+// defaultEngine returns the named engine with registry defaults for lp.
+func defaultEngine(t *testing.T, name string, lp LinkParams) Engine {
+	t.Helper()
+	e, err := arq.DefaultEngine(name, 2*lp.OneWay())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 func TestFacadeEndToEnd(t *testing.T) {
 	s := NewSimulation(42)
 	lp := LinkParams{RateBps: 300e6, DistanceKm: 4000, BER: 1e-6}
 	link := s.NewLink(lp)
 	got := map[uint64]int{}
-	pair := s.NewLAMSPair(link, DefaultsFor(lp), func(_ Time, dg Datagram, _ uint32) {
+	pair := s.NewPair(defaultEngine(t, "lams", lp), link, func(_ Time, dg Datagram, _ uint32) {
 		got[dg.ID]++
 	}, nil)
 	const n = 100
 	for i := 0; i < n; i++ {
-		if !pair.Sender.Enqueue(Datagram{ID: uint64(i), Payload: make([]byte, 1024)}) {
+		if !pair.Enqueue(Datagram{ID: uint64(i), Payload: make([]byte, 1024)}) {
 			t.Fatalf("enqueue %d refused", i)
 		}
 	}
@@ -39,11 +52,11 @@ func TestFacadeHDLC(t *testing.T) {
 	lp := LinkParams{RateBps: 100e6, DistanceKm: 2000, BER: 1e-6}
 	link := s.NewLink(lp)
 	var order []uint64
-	pair := s.NewHDLCPair(link, HDLCDefaultsFor(lp), func(_ Time, dg Datagram, _ uint32) {
+	pair := s.NewPair(defaultEngine(t, "srhdlc", lp), link, func(_ Time, dg Datagram, _ uint32) {
 		order = append(order, dg.ID)
 	}, nil)
 	for i := 0; i < 50; i++ {
-		pair.Sender.Enqueue(Datagram{ID: uint64(i), Payload: make([]byte, 512)})
+		pair.Enqueue(Datagram{ID: uint64(i), Payload: make([]byte, 512)})
 	}
 	s.RunFor(10 * time.Second)
 	if len(order) != 50 {
@@ -68,22 +81,28 @@ func TestLinkParamsVariants(t *testing.T) {
 	if lp2.OneWay() <= 0 {
 		t.Fatal("orbit delay")
 	}
-	// Perfect channel models.
-	im, cm := LinkParams{}.models()
-	if _, ok := im.(channel.Perfect); !ok {
-		t.Fatal("zero BER should be perfect")
-	}
-	if _, ok := cm.(channel.Perfect); !ok {
-		t.Fatal("zero BER control should be perfect")
-	}
-	// Burst overlay.
+	// The error models resolve through the channel-model registry to the
+	// paper's FEC split: Hamming(7,4) on I-frames, repetition-3 on control.
 	bt := &channel.BurstTrain{Period: sim.Second, BurstLen: sim.Millisecond}
-	im, cm = LinkParams{BER: 1e-6, Burst: bt}.models()
-	if _, ok := im.(*channel.BurstTrain); !ok {
-		t.Fatal("burst I model")
-	}
-	if _, ok := cm.(*channel.BurstTrain); !ok {
-		t.Fatal("burst C model")
+	for _, tc := range []struct {
+		lp   LinkParams
+		i, c channel.ErrorModel
+	}{
+		{LinkParams{}, channel.Perfect{}, channel.Perfect{}},
+		{LinkParams{BER: 1e-6},
+			&channel.BSC{BER: 1e-6, Scheme: fec.Hamming74},
+			&channel.BSC{BER: 1e-6, Scheme: fec.Repetition3}},
+		{LinkParams{BER: 1e-6, Burst: bt},
+			&channel.BurstTrain{Period: sim.Second, BurstLen: sim.Millisecond, BaseBER: 1e-6, Scheme: fec.Hamming74},
+			&channel.BurstTrain{Period: sim.Second, BurstLen: sim.Millisecond, BaseBER: 1e-6, Scheme: fec.Repetition3}},
+	} {
+		is, cs := tc.lp.specs()
+		if got := channel.MustParseModel(is).New(); !reflect.DeepEqual(got, tc.i) {
+			t.Errorf("I model for %+v: %q built %#v, want %#v", tc.lp, is, got, tc.i)
+		}
+		if got := channel.MustParseModel(cs).New(); !reflect.DeepEqual(got, tc.c) {
+			t.Errorf("C model for %+v: %q built %#v, want %#v", tc.lp, cs, got, tc.c)
+		}
 	}
 }
 
@@ -105,11 +124,11 @@ func TestSimulationDeterminism(t *testing.T) {
 		lp := LinkParams{RateBps: 300e6, DistanceKm: 4000, BER: 1e-4}
 		link := s.NewLink(lp)
 		var count uint64
-		pair := s.NewLAMSPair(link, DefaultsFor(lp), func(_ Time, dg Datagram, _ uint32) {
+		pair := s.NewPair(defaultEngine(t, "lams", lp), link, func(_ Time, dg Datagram, _ uint32) {
 			count++
 		}, nil)
 		for i := 0; i < 100; i++ {
-			pair.Sender.Enqueue(Datagram{ID: uint64(i), Payload: make([]byte, 1024)})
+			pair.Enqueue(Datagram{ID: uint64(i), Payload: make([]byte, 1024)})
 		}
 		s.RunFor(5 * time.Second)
 		return count + pair.Metrics().Retransmissions.Value()<<32
